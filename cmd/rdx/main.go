@@ -65,7 +65,6 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", 0, "with -remote: print a live snapshot line every N batches (deprecated polling; the Session.Watch subscription delivers the same snapshots server-pushed)")
 		retry       = flag.Int("retry", 0, "with -remote: survive connection faults with up to N consecutive reconnect attempts (0 = no retry)")
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "with -remote: timeout for each connection attempt")
-		maxWire     = flag.Int("max-wire-version", 3, "with -remote: highest wire protocol version to offer (2 = uncompressed RDT3 batches, 3 = compressed columnar batches)")
 		mrcOut      = flag.Bool("mrc", false, "print the profile's predicted miss-ratio curve over cache size")
 		whatIf      = flag.String("whatif", "", "answer a cache what-if question (e.g. \"l2.size=2x\", \"l1.ways=4,llc.size=64MiB\") against the typical three-level hierarchy")
 		list        = flag.Bool("list", false, "list available workloads and exit")
@@ -137,7 +136,7 @@ func main() {
 	ctx := context.Background()
 	if *remote != "" {
 		sessOpts = append(sessOpts, rdx.WithRemote(*remote))
-		ropts := rdx.RemoteOptions{SnapshotEvery: *snapEvery, MaxWireVersion: *maxWire}
+		ropts := rdx.RemoteOptions{SnapshotEvery: *snapEvery}
 		if *snapEvery > 0 && !*jsonOut {
 			ropts.OnSnapshot = func(s *rdx.RemoteResult) {
 				fmt.Printf("snapshot: %d accesses, %d samples, %d reuse pairs, overhead %.2f%%\n",

@@ -122,10 +122,6 @@ type Options struct {
 	// BatchSize is the accesses per wire frame (default
 	// trace.DefaultBatchSize).
 	BatchSize int
-	// MaxWireVersion caps the wire version offered to every backend
-	// (0 = latest). Set to wire.WireV2 when fronting pre-columnar
-	// daemons, though negotiation falls back per backend anyway.
-	MaxWireVersion int
 	// Retry is the per-session fault policy handed to
 	// wire.ReconnectingClient (zero value = wire defaults). It governs
 	// recovery *within* a backend; the pool governs failover *across*
@@ -625,7 +621,6 @@ func (p *Pool) runOn(ctx context.Context, b *backendState, r trace.Reader, tcfg 
 		policy.Dial = p.opts.Dial
 	}
 	c := wire.NewReconnectingClient(b.Addr, tcfg, policy)
-	c.SetMaxWireVersion(p.opts.MaxWireVersion)
 	defer c.Close()
 
 	batch := p.opts.BatchSize

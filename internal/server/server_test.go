@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -131,6 +132,13 @@ func TestE2ERecordedTraceBitIdentical(t *testing.T) {
 		t.Errorf("remote accesses = %d, want %d", got.Accesses, len(accs))
 	}
 	sameWireProfile(t, "remote vs local", got, want)
+
+	// The server accounts every batch payload byte, and the clustered
+	// Zipf stream compresses under the columnar encoding.
+	if m := s.MetricsSnapshot(); m.BytesPerAccess <= 0 || m.CompressionRatio < 2 {
+		t.Errorf("batch bytes: %.2f bytes/access, %.2fx compression; want accounted and >= 2x",
+			m.BytesPerAccess, m.CompressionRatio)
+	}
 }
 
 // TestE2EConcurrentSessions runs 16 sessions at once, each with its own
@@ -389,6 +397,84 @@ func TestOpenRejections(t *testing.T) {
 		if _, err := c.Open(core.Config{}); err == nil {
 			t.Error("zero config accepted")
 		}
+	})
+
+	// rawOpen sends an open frame carrying req verbatim and returns the
+	// connection with the server's reply frame.
+	rawOpen := func(t *testing.T, req []byte) (net.Conn, wire.FrameType, []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteFrame(conn, wire.FrameOpen, req); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, ft, payload
+	}
+	openReq, err := json.Marshal(wire.OpenRequest{Config: testConfig(500)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// waitIdle lets a refused session unregister before the next
+	// subtest claims the server's only session slot.
+	waitIdle := func(t *testing.T) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.MetricsSnapshot().SessionsActive != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("refused session never freed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	t.Run("row batch frame", func(t *testing.T) {
+		// The retired row framing (type 0x02: sequence number plus an
+		// RDT3 stream) is an unexpected frame, not a batch.
+		conn, ft, _ := rawOpen(t, openReq)
+		if ft != wire.FrameOpenOK {
+			t.Fatalf("open answered with %s", ft)
+		}
+		var payload bytes.Buffer
+		payload.Write(make([]byte, 7))
+		payload.WriteByte(1)
+		if _, err := trace.Record(&payload, trace.Cyclic(0, 64, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, wire.FrameType(0x02), payload.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		ft, msg, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft != wire.FrameError || !strings.Contains(string(msg), "unexpected") {
+			t.Errorf("row batch frame answered with %s %q, want an unexpected-frame error", ft, msg)
+		}
+		conn.Close()
+		waitIdle(t)
+		if m := s.MetricsSnapshot(); m.BatchesTotal != 0 || m.AccessesTotal != 0 {
+			t.Errorf("row batch frame executed: %d batches, %d accesses", m.BatchesTotal, m.AccessesTotal)
+		}
+	})
+
+	t.Run("wire field", func(t *testing.T) {
+		// The open request no longer carries a version offer; the strict
+		// decoder refuses the field rather than ignore it.
+		req := append(bytes.TrimSuffix(openReq, []byte("}")), []byte(`,"wire":3}`)...)
+		conn, ft, msg := rawOpen(t, req)
+		if ft != wire.FrameError || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("open with a wire field answered with %s %q, want an unknown-field error", ft, msg)
+		}
+		conn.Close()
+		waitIdle(t)
 	})
 
 	t.Run("session limit", func(t *testing.T) {

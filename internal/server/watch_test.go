@@ -4,9 +4,7 @@ package server_test
 // snapshot stream must be byte-identical to what the deprecated poll
 // cadence (ProfileOptions.SnapshotEvery) observed at the same batch
 // boundaries, subscriptions must cancel cleanly, the continuous
-// profiler's drift and working-set alerts must surface on /metrics,
-// and the negotiated wire version must be readable concurrently with
-// (re)negotiation under -race.
+// profiler's drift and working-set alerts must surface on /metrics.
 
 import (
 	"encoding/json"
@@ -227,44 +225,6 @@ func TestWatchMetricsAndWorkingSetAlert(t *testing.T) {
 
 	if _, err := c.Finish(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWireVersionConcurrentWithNegotiation reads Client.WireVersion from
-// another goroutine while Open negotiates the version — the torn-read
-// pair the client's internal lock exists for (a ReconnectingClient
-// renegotiates on every reconnect, and observers poll WireVersion
-// concurrently). Meaningful under -race.
-func TestWireVersionConcurrentWithNegotiation(t *testing.T) {
-	cfg := testConfig(400)
-	s := start(t, server.Config{})
-	for i := 0; i < 16; i++ {
-		c := dial(t, s)
-		if i%2 == 1 {
-			// Alternate the offered cap so the negotiated value actually
-			// changes between sessions, like a v3->v2 renegotiation would.
-			c.SetMaxWireVersion(wire.WireV2)
-		}
-		done := make(chan int)
-		go func() {
-			last := 0
-			for j := 0; j < 4096; j++ {
-				last = c.WireVersion()
-			}
-			done <- last
-		}()
-		if _, err := c.Open(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if v := <-done; v != 0 && v != wire.WireV2 && v != wire.WireV3 {
-			t.Fatalf("torn wire version read: %d", v)
-		}
-		if err := c.SendBatch(accsN(t, 4096, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Finish(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Columnar access batches.
 //
 // A Columns value holds one batch of accesses split by field — the
-// layout behind the wire protocol's v3 compressed batch frames and the
+// layout behind the wire protocol's compressed batch frames and the
 // engine's vectorized execute path. Splitting the stream into vectors
 // exposes the structure delta encoding exploits: address streams are
 // strided or clustered, PC streams cycle through a handful of code
@@ -126,71 +126,6 @@ func (c *Columns) AppendTo(dst []mem.Access) []mem.Access {
 		dst = append(dst, c.Access(i))
 	}
 	return dst
-}
-
-// AppendRDT3 decodes a complete in-memory RDT3 stream directly into the
-// columns — the columnar builder for recorded traces and v2 wire
-// payloads. The RDT3 record header byte is the meta byte, so decoding
-// is a straight delta accumulation with no intermediate mem.Access
-// values. Error behaviour matches BytesReader: truncation wraps
-// ErrTruncated, corruption is descriptive.
-func (c *Columns) AppendRDT3(data []byte) error {
-	if len(data) < len(fileMagic) {
-		return fmt.Errorf("trace: reading header: %w", ErrTruncated)
-	}
-	if [4]byte(data[:4]) != fileMagic {
-		return fmt.Errorf("trace: bad magic %q, want %q", data[:4], fileMagic)
-	}
-	pos := len(fileMagic)
-	var prev, prevPC mem.Addr
-	var n uint64
-	for {
-		if pos >= len(data) {
-			return fmt.Errorf("trace: stream ends after %d records with no end-of-stream trailer: %w", n, ErrTruncated)
-		}
-		hdr := data[pos]
-		pos++
-		if hdr == endSentinel {
-			want, vn := binary.Uvarint(data[pos:])
-			if vn == 0 {
-				return fmt.Errorf("trace: stream ends inside the end-of-stream trailer: %w", ErrTruncated)
-			}
-			if vn < 0 {
-				return fmt.Errorf("trace: reading end-of-stream trailer: uvarint overflows 64 bits")
-			}
-			pos += vn
-			if want != n {
-				return fmt.Errorf("trace: corrupt stream: trailer records %d accesses, decoded %d", want, n)
-			}
-			if rest := len(data) - pos; rest > 0 {
-				return fmt.Errorf("trace: %d trailing bytes after end-of-stream trailer", rest)
-			}
-			return nil
-		}
-		delta, vn := binary.Varint(data[pos:])
-		if vn <= 0 {
-			return rdt3VarintErr(vn, n)
-		}
-		pos += vn
-		pcDelta, vn := binary.Varint(data[pos:])
-		if vn <= 0 {
-			return rdt3VarintErr(vn, n)
-		}
-		pos += vn
-		prev = mem.Addr(int64(prev) + delta)
-		prevPC = mem.Addr(int64(prevPC) + pcDelta)
-		c.Addrs = append(c.Addrs, prev)
-		c.PCs = append(c.PCs, prevPC)
-		c.Meta = append(c.Meta, hdr)
-		n++
-	}
-}
-
-func rdt3VarintErr(n int, rec uint64) error {
-	if n == 0 {
-		return fmt.Errorf("trace: record %d cut off mid-stream: %w", rec, ErrTruncated)
-	}
-	return fmt.Errorf("trace: corrupt record %d: varint overflows 64 bits", rec)
 }
 
 // zigzag maps a signed delta onto an unsigned varint-friendly value

@@ -122,41 +122,6 @@ func TestColumnsZigzagExtremes(t *testing.T) {
 	}
 }
 
-// TestAppendRDT3MatchesReader: the direct RDT3->columns builder must
-// agree with BytesReader record for record, and classify truncation at
-// every byte offset the same way.
-func TestAppendRDT3MatchesReader(t *testing.T) {
-	accs := randomAccesses(3, 777)
-	var buf bytes.Buffer
-	if _, err := Record(&buf, FromSlice(accs)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	var c Columns
-	if err := c.AppendRDT3(data); err != nil {
-		t.Fatal(err)
-	}
-	got := c.AppendTo(nil)
-	if len(got) != len(accs) {
-		t.Fatalf("decoded %d of %d accesses", len(got), len(accs))
-	}
-	for i := range got {
-		if got[i] != accs[i] {
-			t.Fatalf("access %d changed: %v -> %v", i, accs[i], got[i])
-		}
-	}
-
-	// Truncation anywhere must fail (and never panic); the streaming
-	// reader is the classification oracle.
-	for cut := 0; cut < len(data); cut++ {
-		var tc Columns
-		if err := tc.AppendRDT3(data[:cut]); err == nil {
-			t.Fatalf("truncation at byte %d accepted", cut)
-		}
-	}
-}
-
 // TestDecodeColumnCorruption: malformed columns fail descriptively.
 func TestDecodeColumnCorruption(t *testing.T) {
 	vals := []mem.Addr{1, 2, 3}

@@ -35,11 +35,11 @@ const batchSize = DefaultBatchSize
 // ErrShortTrace is returned by readers that require a minimum length.
 var ErrShortTrace = errors.New("trace: stream shorter than required")
 
-// batchBufPool recycles DefaultBatchSize access buffers across the
+// accessBufPool recycles DefaultBatchSize access buffers across the
 // drain helpers and the execution engine. The pool stores fixed-size
 // array pointers, so neither Get nor Put boxes a slice header — both
 // directions are allocation-free.
-var batchBufPool = sync.Pool{
+var accessBufPool = sync.Pool{
 	New: func() any { return new([DefaultBatchSize]mem.Access) },
 }
 
@@ -48,7 +48,7 @@ var batchBufPool = sync.Pool{
 // contents. Profilers and drain helpers read streams through these so
 // repeated runs reuse one 64 KiB buffer instead of allocating each.
 func BatchBuf() []mem.Access {
-	return batchBufPool.Get().(*[DefaultBatchSize]mem.Access)[:]
+	return accessBufPool.Get().(*[DefaultBatchSize]mem.Access)[:]
 }
 
 // ReleaseBatchBuf returns a BatchBuf buffer to the pool. Buffers of any
@@ -58,7 +58,7 @@ func ReleaseBatchBuf(buf []mem.Access) {
 	if cap(buf) != DefaultBatchSize {
 		return
 	}
-	batchBufPool.Put((*[DefaultBatchSize]mem.Access)(buf[:DefaultBatchSize]))
+	accessBufPool.Put((*[DefaultBatchSize]mem.Access)(buf[:DefaultBatchSize]))
 }
 
 // ForEach drains r, invoking fn for every access in order. It stops early

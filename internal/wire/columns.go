@@ -9,19 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Wire protocol versions negotiated at FrameOpen. A client advertises
-// the highest version it speaks in OpenRequest.Wire; the server answers
-// with the version the session will use in OpenReply.Wire (the minimum
-// of the two sides' maxima). Version 2 is the original RDT3 batch
-// framing (FrameBatch); version 3 adds compressed columnar batches
-// (FrameBatchV3). Absent fields decode as 0 and mean version 2, so the
-// negotiation is transparently backward compatible.
-const (
-	WireV2 = 2
-	WireV3 = 3
-)
-
-// Column encoding tags carried in a v3 column section header. Address
+// Column encoding tags carried in a column section header. Address
 // and PC columns use delta or delta-of-delta; the meta column uses raw
 // or run-length. The encoder produces both candidates and keeps the
 // smaller, so irregular streams never regress past plain delta.
@@ -37,15 +25,14 @@ const (
 // tag + data).
 const colSectionHdr = 9
 
-// columnsHdrBytes is the v3 payload's fixed prefix: 8-byte sequence
+// columnsHdrBytes is the batch payload's fixed prefix: 8-byte sequence
 // number + 4-byte access count, both big-endian.
 const columnsHdrBytes = batchSeqBytes + 4
 
-// MaxColumnBatch bounds the access count a v3 payload may declare. The
-// zero-run encodings let a few bytes describe millions of values, so —
-// unlike v2, where every access costs stream bytes — the count must be
-// bounded independently of the payload size to stop a corrupt or
-// hostile header from ballooning column scratch.
+// MaxColumnBatch bounds the access count a batch payload may declare.
+// The zero-run encodings let a few bytes describe millions of values,
+// so the count must be bounded independently of the payload size to
+// stop a corrupt or hostile header from ballooning column scratch.
 const MaxColumnBatch = 1 << 22
 
 // colCRC is the checksum carried in a column section header: IEEE crc32
@@ -55,7 +42,7 @@ func colCRC(tag byte, data []byte) uint32 {
 	return crc32.Update(typeCRCs[tag], crc32.IEEETable, data)
 }
 
-// EncodeColumns resets dst and appends a v3 batch payload: the sequence
+// EncodeColumns resets dst and appends a batch payload: the sequence
 // number and access count, then the address, PC and meta column
 // sections. Each section carries its own encoding tag, length and
 // crc32, so a decoder localizes corruption to a column. Address and PC
@@ -138,7 +125,7 @@ func finishSection(dst []byte, off int, tag byte) []byte {
 	return dst
 }
 
-// DecodeColumnsInto decodes a v3 batch payload, appending the accesses
+// DecodeColumnsInto decodes a batch payload, appending the accesses
 // to cols (callers reuse one Columns value, Reset between batches) and
 // returning the batch's sequence number. Each column's crc32 is
 // verified before its data is interpreted, and every structural

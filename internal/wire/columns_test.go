@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -35,8 +34,7 @@ func wireTestAccesses(seed uint64, n int) []mem.Access {
 }
 
 // TestEncodeColumnsRoundTrip: encode → decode must reproduce the batch
-// and sequence number bit-exactly, for many batch shapes, and decoding
-// must be byte-identical to the v2 RDT3 decode of the same accesses.
+// and sequence number bit-exactly, for many batch shapes.
 func TestEncodeColumnsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, 4096, 10000} {
 		accs := wireTestAccesses(uint64(n)+3, n)
@@ -62,24 +60,6 @@ func TestEncodeColumnsRoundTrip(t *testing.T) {
 		for i := range got {
 			if got[i] != accs[i] {
 				t.Fatalf("n=%d: access %d changed: %v -> %v", n, i, accs[i], got[i])
-			}
-		}
-
-		// Cross-check against the v2 framing: same accesses, same result.
-		var v2 bytes.Buffer
-		if err := EncodeBatch(&v2, 1, accs); err != nil {
-			t.Fatal(err)
-		}
-		v2accs, _, err := DecodeBatch(nil, v2.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v2accs) != len(got) {
-			t.Fatalf("n=%d: v2 decoded %d, v3 decoded %d", n, len(v2accs), len(got))
-		}
-		for i := range got {
-			if got[i] != v2accs[i] {
-				t.Fatalf("n=%d: framings disagree at access %d", n, i)
 			}
 		}
 	}
@@ -177,7 +157,7 @@ func TestColumnsPoolRecirculates(t *testing.T) {
 	PutColumns(nil) // no-op
 }
 
-// FuzzDecodeColumns throws arbitrary bytes at the v3 batch decoder:
+// FuzzDecodeColumns throws arbitrary bytes at the batch decoder:
 // malformed headers, lying section lengths, corrupt column data and
 // truncation must all return errors, never panic; a payload that
 // decodes must round-trip bit-exactly through the encoder.

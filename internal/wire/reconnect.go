@@ -106,7 +106,6 @@ type ReconnectingClient struct {
 	conn  net.Conn
 	reply OpenReply
 
-	maxWire   int // highest wire version to offer on each connection
 	token     string
 	lastAcked uint64
 	nextSeq   uint64 // session-level sequence of the next new batch
@@ -145,22 +144,6 @@ func NewReconnectingClient(addr string, cfg core.Config, policy RetryPolicy) *Re
 
 // Stats returns the fault-tolerance counters accumulated so far.
 func (r *ReconnectingClient) Stats() ReconnectStats { return r.stats }
-
-// SetMaxWireVersion caps the wire version offered on every connection
-// this session establishes (default: the latest, WireV3). Negotiation
-// is per connection: a session that reconnects to a different server
-// may continue at a different version — replayed batches are re-encoded
-// at send time, so the replay buffer is version-agnostic.
-func (r *ReconnectingClient) SetMaxWireVersion(v int) { r.maxWire = v }
-
-// WireVersion reports the wire version negotiated on the most recent
-// connection (0 before the first).
-func (r *ReconnectingClient) WireVersion() int {
-	if r.c != nil {
-		return r.c.WireVersion()
-	}
-	return r.reply.Wire
-}
 
 // Open establishes the session eagerly and returns the server's reply.
 // It is optional: every operation connects on demand.
@@ -286,9 +269,6 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = trace.DefaultBatchSize
-	}
-	if opts.MaxWireVersion != 0 {
-		r.SetMaxWireVersion(opts.MaxWireVersion)
 	}
 	var buf []mem.Access
 	if batch <= trace.DefaultBatchSize {
@@ -521,7 +501,6 @@ func (r *ReconnectingClient) ensure(ctx context.Context) (*Client, error) {
 		return nil, fmt.Errorf("wire: dialing %s: %w", r.addr, err)
 	}
 	c := NewClient(conn)
-	c.SetMaxWireVersion(r.maxWire)
 	r.c, r.conn = c, conn
 	r.armDeadline(ctx)
 	defer r.disarmDeadline()

@@ -11,6 +11,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# rdxbench/ is its own module, so the root ./... skips it. Vetting it
+# here builds the benchmark against this tree: a deletion of API the
+# benchmark relies on fails this gate instead of the benchmark run.
+echo "==> rdxbench: go vet ./..."
+(cd rdxbench && go vet ./...)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -32,6 +38,15 @@ fi
 # pinned to 4 so those paths are covered even on a single-core host.
 echo "==> go test ./... (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -count=1 ./...
+
+# Scheduling-sensitive packages, repeated at two core counts: the
+# session, reconnect, pool and migration paths race goroutines by
+# design, and a race that a 1-CPU host never interleaves surfaces here
+# on any box instead of in production.
+for procs in 2 4; do
+    echo "==> server/wire/pool/ctrl -count=5 (GOMAXPROCS=$procs)"
+    GOMAXPROCS=$procs go test -count=5 ./internal/server ./internal/wire ./internal/pool ./internal/ctrl
+done
 
 # Executor chaos smoke: 6 concurrent sessions on a 4-worker
 # work-stealing executor at GOMAXPROCS=4, behind a fault-injecting
@@ -57,14 +72,15 @@ go test -run='^TestPoolE2EFaultsAndBackendDeath$' -count=1 ./internal/pool
 echo "==> migration chaos smoke (-race)"
 go test -race -run='^TestControlPlaneE2EChaos$' -count=1 ./internal/ctrl
 
-# Short fuzz smoke on the wire-protocol decoders: enough to catch a
-# regression in the corpus or an obvious panic, cheap enough for CI.
-echo "==> fuzz smoke (wire decoders, 10s each)"
+# Short fuzz smoke on the wire-protocol and trace-file decoders: enough
+# to catch a regression in the corpus or an obvious panic, cheap enough
+# for CI.
+echo "==> fuzz smoke (wire and trace-file decoders, 10s each)"
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=10s ./internal/wire
-go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=10s ./internal/wire
+go test -run='^$' -fuzz='^FuzzReader$' -fuzztime=10s ./internal/trace
 go test -run='^$' -fuzz='^FuzzDecodeColumns$' -fuzztime=10s ./internal/wire
 
-# Wire-compression regression gate: the strided workload's v3
+# Wire-compression regression gate: the strided workload's columnar
 # compression ratio is re-measured and held against the baseline
 # committed in BENCH_server.json. The columnar encoding is
 # deterministic, so any drop beyond the 5% batch-boundary tolerance is

@@ -309,9 +309,6 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 	if s.retry != nil {
 		rc := wire.NewReconnectingClient(addr, tcfg, *s.retry)
 		defer rc.Close()
-		if s.remoteOpts.MaxWireVersion != 0 {
-			rc.SetMaxWireVersion(s.remoteOpts.MaxWireVersion)
-		}
 		if err := rc.Watch(ctx, everyBatches, nil); err != nil {
 			return nil, err
 		}
@@ -352,9 +349,6 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 		return nil, err
 	}
 	defer c.Close()
-	if s.remoteOpts.MaxWireVersion != 0 {
-		c.SetMaxWireVersion(s.remoteOpts.MaxWireVersion)
-	}
 	if _, err := c.Open(tcfg); err != nil {
 		return nil, err
 	}
