@@ -14,6 +14,7 @@ package rdx
 // arbitrary scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -243,7 +244,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 	cfg.SamplePeriod = 64 << 10
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := Profile(Cyclic(0, 1<<16, uint64(b.N)+1), cfg)
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), Cyclic(0, 1<<16, uint64(b.N)+1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func BenchmarkMachineThroughput(b *testing.B) {
 }
 
 // BenchmarkExactOlkenThroughput measures the ground-truth profiler's
-// per-access cost (hash map + order-statistics treap).
+// per-access cost (hash map + order-statistics list).
 func BenchmarkExactOlkenThroughput(b *testing.B) {
 	r := trace.ZipfAccess(1, 0, 1<<20, 1.0, uint64(b.N)+1)
 	b.ReportAllocs()
@@ -316,9 +317,9 @@ func benchEngine(b *testing.B, reference bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	if reference {
-		_, err = p.RunReference(engineWorkload(n), cpumodel.Default())
+		err = p.NewMachine(cpumodel.Default()).RunReference(engineWorkload(n))
 	} else {
-		_, err = p.Run(engineWorkload(n), cpumodel.Default())
+		_, err = p.Run(context.Background(), engineWorkload(n), cpumodel.Default(), 0, nil)
 	}
 	if err != nil {
 		b.Fatal(err)

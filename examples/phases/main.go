@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -34,11 +35,12 @@ func main() {
 
 	cfg := rdx.DefaultConfig()
 	cfg.SamplePeriod = 4 << 10
+	session := rdx.New(rdx.WithConfig(cfg))
 
 	fmt.Println("per-phase profiles (segmented featherlight profiling):")
 	fmt.Printf("%-28s %-12s %-10s %-10s\n", "phase", "median RD", "cold%", "pairs")
 	for _, ph := range phases {
-		res, err := rdx.Profile(ph.mk(), cfg)
+		res, err := session.Profile(context.Background(), ph.mk())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +57,7 @@ func main() {
 	for i, ph := range phases {
 		streams[i] = ph.mk()
 	}
-	multi, err := rdx.ProfileThreads(streams, cfg)
+	multi, err := session.ProfileThreads(context.Background(), streams)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,9 +4,12 @@ package rdx
 // profile → analyze → compare pipeline a downstream user runs.
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/mrc"
 )
 
 func TestEndToEndWorkloadPipeline(t *testing.T) {
@@ -20,7 +23,7 @@ func TestEndToEndWorkloadPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Profile(stream, cfg)
+	res, err := New(WithConfig(cfg)).Profile(context.Background(), stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +51,8 @@ func TestEndToEndWorkloadPipeline(t *testing.T) {
 
 	// Miss-ratio predictions from both histograms agree.
 	for _, capWords := range []uint64{1 << 10, 1 << 16} {
-		a := PredictMissRatio(res.ReuseDistance, capWords)
-		b := PredictMissRatio(gt.ReuseDistance, capWords)
+		a := mrc.StackMissRatio(res.ReuseDistance, capWords)
+		b := mrc.StackMissRatio(gt.ReuseDistance, capWords)
 		if math.Abs(a-b) > 0.12 {
 			t.Errorf("miss prediction at %d words: RDX %v vs GT %v", capWords, a, b)
 		}
@@ -92,7 +95,7 @@ func TestEndToEndMultithreaded(t *testing.T) {
 		}
 		streams[i] = s
 	}
-	multi, err := ProfileThreads(streams, cfg)
+	multi, err := New(WithConfig(cfg)).ProfileThreads(context.Background(), streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +126,11 @@ func TestEndToEndEveryWorkloadSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Profile(stream, cfg)
+		res, err := New(WithConfig(cfg)).Profile(context.Background(), stream)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// Component shares round down, so a stream may come up a few
-		// accesses short of the requested n.
-		if res.Accesses < 128<<10-8 || res.Accesses > 128<<10 {
+		if res.Accesses != 128<<10 {
 			t.Errorf("%s: accesses = %d", name, res.Accesses)
 		}
 		if res.Samples == 0 {

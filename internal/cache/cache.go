@@ -1,9 +1,8 @@
-// Package cache provides (a) a set-associative LRU cache simulator and
-// (b) a miss-ratio predictor driven by reuse-distance histograms. The
-// pair backs the paper's "usefulness" experiments: a reuse-distance
-// histogram — machine-independent — predicts the miss ratio of any LRU
-// cache size, and the simulator provides the reference those predictions
-// are checked against.
+// Package cache provides a set-associative LRU cache simulator and
+// multi-level hierarchy. It backs the paper's "usefulness" experiments:
+// a reuse-distance histogram — machine-independent — predicts the miss
+// ratio of any LRU cache size (internal/mrc), and the simulator provides
+// the reference those predictions are checked against.
 //
 // The simulator maintains true LRU order per set with a hash map plus an
 // intrusive doubly-linked list, so accesses are O(1) regardless of
@@ -14,7 +13,6 @@ package cache
 import (
 	"fmt"
 
-	"repro/internal/histogram"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -208,25 +206,4 @@ func Simulate(r trace.Reader, cfg Config) (float64, error) {
 		return 0, err
 	}
 	return c.MissRatio(), nil
-}
-
-// PredictMissRatio predicts the miss ratio of a fully associative LRU
-// cache with `lines` lines from a reuse-distance histogram measured at
-// line granularity: an access misses iff its reuse distance is at least
-// the cache capacity (or it is cold). This is the classical
-// stack-distance identity, exact for fully associative LRU.
-func PredictMissRatio(rd *histogram.Histogram, lines uint64) float64 {
-	if lines == 0 {
-		return 1
-	}
-	return rd.FractionAbove(lines)
-}
-
-// MissRatioCurve evaluates PredictMissRatio at each capacity (in lines).
-func MissRatioCurve(rd *histogram.Histogram, lineCounts []uint64) []float64 {
-	out := make([]float64, len(lineCounts))
-	for i, n := range lineCounts {
-		out[i] = PredictMissRatio(rd, n)
-	}
-	return out
 }

@@ -1,17 +1,19 @@
-package cache
+package cache_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/exact"
 	"repro/internal/mem"
+	"repro/internal/mrc"
 	"repro/internal/trace"
 )
 
 func TestConfigValidate(t *testing.T) {
-	good := []Config{
+	good := []cache.Config{
 		{SizeBytes: 1024, LineBytes: 64, Ways: 4},
 		{SizeBytes: 1024, LineBytes: 64, Ways: 0},
 		{SizeBytes: 64, LineBytes: 64, Ways: 1},
@@ -21,7 +23,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("valid config rejected: %+v: %v", c, err)
 		}
 	}
-	bad := []Config{
+	bad := []cache.Config{
 		{SizeBytes: 1024, LineBytes: 48, Ways: 1},
 		{SizeBytes: 1000, LineBytes: 64, Ways: 1},
 		{SizeBytes: 0, LineBytes: 64},
@@ -37,7 +39,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTinyLRUSequence(t *testing.T) {
 	// Fully associative, 2 lines. Pattern (lines): A B A C B.
-	c, err := New(Config{SizeBytes: 128, LineBytes: 64, Ways: 0})
+	c, err := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestTinyLRUSequence(t *testing.T) {
 
 func TestSetConflicts(t *testing.T) {
 	// Direct-mapped, 2 sets: lines 0 and 2 collide in set 0.
-	c, err := New(Config{SizeBytes: 128, LineBytes: 64, Ways: 1})
+	c, err := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestSetConflicts(t *testing.T) {
 		t.Error("direct-mapped conflict should have evicted line 0")
 	}
 	// Same pattern with 2 ways keeps both.
-	c2, err := New(Config{SizeBytes: 128, LineBytes: 64, Ways: 2})
+	c2, err := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestSetConflicts(t *testing.T) {
 func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	// Cyclic over 8 lines in a fully associative 16-line cache: only
 	// cold misses.
-	cfg := Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0}
-	mr, err := Simulate(lineCyclic(8, 100), cfg)
+	cfg := cache.Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0}
+	mr, err := cache.Simulate(lineCyclic(8, 100), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,8 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 
 func TestThrashingLRU(t *testing.T) {
 	// Cyclic over N+1 lines in an N-line LRU cache: everything misses.
-	cfg := Config{SizeBytes: 8 * 64, LineBytes: 64, Ways: 0}
-	mr, err := Simulate(lineCyclic(9, 50), cfg)
+	cfg := cache.Config{SizeBytes: 8 * 64, LineBytes: 64, Ways: 0}
+	mr, err := cache.Simulate(lineCyclic(9, 50), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +135,8 @@ func TestInclusionProperty(t *testing.T) {
 		if len(blocks) == 0 {
 			return true
 		}
-		small, _ := New(Config{SizeBytes: 4 * 64, LineBytes: 64, Ways: 0})
-		large, _ := New(Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0})
+		small, _ := cache.New(cache.Config{SizeBytes: 4 * 64, LineBytes: 64, Ways: 0})
+		large, _ := cache.New(cache.Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0})
 		for _, b := range blocks {
 			a := mem.Access{Addr: mem.Addr(b) * 64, Size: 8}
 			hs := small.Access(a)
@@ -163,11 +165,11 @@ func TestPredictionMatchesSimulationFullyAssoc(t *testing.T) {
 	}
 	rd := gt.ReuseDistance()
 	for _, lines := range []uint64{16, 64, 256, 1024} {
-		sim, err := Simulate(mk(), Config{SizeBytes: lines * 64, LineBytes: 64, Ways: 0})
+		sim, err := cache.Simulate(mk(), cache.Config{SizeBytes: lines * 64, LineBytes: 64, Ways: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := PredictMissRatio(rd, lines)
+		pred := mrc.StackMissRatio(rd, lines)
 		if math.Abs(pred-sim) > 0.05 {
 			t.Errorf("capacity %d lines: predicted %v vs simulated %v", lines, pred, sim)
 		}
@@ -180,10 +182,10 @@ func TestPredictMissRatioEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := gt.ReuseDistance()
-	if got := PredictMissRatio(rd, 0); got != 1 {
+	if got := mrc.StackMissRatio(rd, 0); got != 1 {
 		t.Errorf("capacity 0 = %v, want 1", got)
 	}
-	if got := PredictMissRatio(rd, 1<<40); got >= 0.2 {
+	if got := mrc.StackMissRatio(rd, 1<<40); got >= 0.2 {
 		t.Errorf("huge capacity miss ratio = %v, want cold-only", got)
 	}
 }
@@ -193,8 +195,10 @@ func TestMissRatioCurveMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := []uint64{1, 4, 16, 64, 256, 1024, 4096}
-	curve := MissRatioCurve(gt.ReuseDistance(), sizes)
+	var curve []float64
+	for _, lines := range []uint64{1, 4, 16, 64, 256, 1024, 4096} {
+		curve = append(curve, mrc.StackMissRatio(gt.ReuseDistance(), lines))
+	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1]+1e-9 {
 			t.Errorf("miss-ratio curve not monotone at %d: %v", i, curve)
@@ -203,17 +207,17 @@ func TestMissRatioCurveMonotone(t *testing.T) {
 }
 
 func TestSimulateRejectsBadConfig(t *testing.T) {
-	if _, err := Simulate(lineCyclic(4, 1), Config{SizeBytes: 100, LineBytes: 64}); err == nil {
+	if _, err := cache.Simulate(lineCyclic(4, 1), cache.Config{SizeBytes: 100, LineBytes: 64}); err == nil {
 		t.Error("bad config accepted")
 	}
 }
 
 func TestHierarchyFiltering(t *testing.T) {
-	specs := []LevelSpec{
-		{Name: "L1", Config: Config{SizeBytes: 4 * 64, LineBytes: 64, Ways: 0}},
-		{Name: "L2", Config: Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0}},
+	specs := []cache.LevelSpec{
+		{Name: "L1", Config: cache.Config{SizeBytes: 4 * 64, LineBytes: 64, Ways: 0}},
+		{Name: "L2", Config: cache.Config{SizeBytes: 16 * 64, LineBytes: 64, Ways: 0}},
 	}
-	h, err := NewHierarchy(specs)
+	h, err := cache.NewHierarchy(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +242,8 @@ func TestHierarchyFiltering(t *testing.T) {
 }
 
 func TestHierarchyAccessLevelIndex(t *testing.T) {
-	specs := TypicalHierarchy()
-	h, err := NewHierarchy(specs)
+	specs := cache.TypicalHierarchy()
+	h, err := cache.NewHierarchy(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,20 +259,21 @@ func TestHierarchyAccessLevelIndex(t *testing.T) {
 func TestPredictHierarchyMatchesSimulation(t *testing.T) {
 	// Fully associative inclusive levels: prediction from the exact
 	// histogram must track simulation at every level.
-	specs := []LevelSpec{
-		{Name: "small", Config: Config{SizeBytes: 64 * 64, LineBytes: 64, Ways: 0}},
-		{Name: "big", Config: Config{SizeBytes: 1024 * 64, LineBytes: 64, Ways: 0}},
+	specs := []cache.LevelSpec{
+		{Name: "small", Config: cache.Config{SizeBytes: 64 * 64, LineBytes: 64, Ways: 0}},
+		{Name: "big", Config: cache.Config{SizeBytes: 1024 * 64, LineBytes: 64, Ways: 0}},
 	}
 	mk := func() trace.Reader { return trace.ZipfAccess(3, 0, 1<<16, 1.0, 300000) }
 	gt, err := exact.Measure(mk(), mem.LineGranularity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := PredictHierarchy(gt.ReuseDistance(), specs)
+	levels, err := mrc.PredictLevels(gt.ReuseDistance(), specs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SimulateHierarchy(mk(), specs)
+	pred := levels.Locals()
+	sim, err := cache.SimulateHierarchy(mk(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,17 +285,17 @@ func TestPredictHierarchyMatchesSimulation(t *testing.T) {
 }
 
 func TestHierarchyErrors(t *testing.T) {
-	if _, err := NewHierarchy(nil); err == nil {
+	if _, err := cache.NewHierarchy(nil); err == nil {
 		t.Error("empty hierarchy accepted")
 	}
-	bad := []LevelSpec{{Name: "x", Config: Config{SizeBytes: 100, LineBytes: 64}}}
-	if _, err := NewHierarchy(bad); err == nil {
+	bad := []cache.LevelSpec{{Name: "x", Config: cache.Config{SizeBytes: 100, LineBytes: 64}}}
+	if _, err := cache.NewHierarchy(bad); err == nil {
 		t.Error("invalid level accepted")
 	}
-	if _, err := PredictHierarchy(nil, nil); err == nil {
-		t.Error("PredictHierarchy with no levels accepted")
+	if _, err := mrc.PredictLevels(nil, nil, 64); err == nil {
+		t.Error("PredictLevels with no levels accepted")
 	}
-	if _, err := SimulateHierarchy(lineCyclic(2, 2), bad); err == nil {
+	if _, err := cache.SimulateHierarchy(lineCyclic(2, 2), bad); err == nil {
 		t.Error("SimulateHierarchy with invalid level accepted")
 	}
 }

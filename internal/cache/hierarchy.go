@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"repro/internal/histogram"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -91,33 +90,4 @@ func SimulateHierarchy(r trace.Reader, specs []LevelSpec) ([]float64, error) {
 		return nil, err
 	}
 	return h.MissRatios(), nil
-}
-
-// PredictHierarchy predicts each level's local miss ratio from a
-// reuse-distance histogram measured at the hierarchy's line granularity.
-// The global miss ratio of level i (fraction of all accesses missing
-// levels 0..i) is FractionAbove(capacity_i) by the stack-distance
-// identity; the local ratio divides consecutive global ratios. Exact for
-// fully associative inclusive LRU levels, an approximation for
-// set-associative ones.
-func PredictHierarchy(rd *histogram.Histogram, specs []LevelSpec) ([]float64, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("cache: hierarchy with no levels")
-	}
-	out := make([]float64, len(specs))
-	reach := 1.0 // fraction of accesses reaching the current level
-	for i, s := range specs {
-		if err := s.Config.Validate(); err != nil {
-			return nil, err
-		}
-		global := PredictMissRatio(rd, s.Config.Lines())
-		if reach > 0 {
-			out[i] = global / reach
-		}
-		if out[i] > 1 {
-			out[i] = 1
-		}
-		reach = global
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -141,7 +142,7 @@ func TestHistogramForPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(r, cpumodel.Default())
+	res, err := p.Run(context.Background(), r, cpumodel.Default(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

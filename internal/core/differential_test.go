@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,11 +10,21 @@ import (
 	"repro/internal/trace"
 )
 
+// runReference profiles r on the per-access reference loop
+// (cpu.Machine.RunReference) of p's wired machine.
+func runReference(p *Profiler, r trace.Reader) (*Result, error) {
+	if err := p.NewMachine(cpumodel.Default()).RunReference(r); err != nil {
+		return nil, err
+	}
+	return p.Result(), nil
+}
+
 // TestBatchedPathBitExact is the engine's contract test: for every
 // replacement policy, several seeds and several workload shapes, the
-// batched fast path (Machine.Run) and the retained per-access reference
-// path (Machine.RunReference) must produce byte-identical Results —
-// histograms, counters, attribution, footprint model and cycle account.
+// stream driver (Profiler.Run on the batched engine) and the retained
+// per-access reference path (Machine.RunReference) must produce
+// byte-identical Results — histograms, counters, attribution, footprint
+// model and cycle account.
 func TestBatchedPathBitExact(t *testing.T) {
 	const n = 150000
 	policies := []ReplacementPolicy{
@@ -38,7 +49,7 @@ func TestBatchedPathBitExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fast, err := pFast.Run(mk(seed), cpumodel.Default())
+					fast, err := pFast.Run(context.Background(), mk(seed), cpumodel.Default(), 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -47,7 +58,7 @@ func TestBatchedPathBitExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := pRef.RunReference(mk(seed), cpumodel.Default())
+					ref, err := runReference(pRef, mk(seed))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,7 +102,7 @@ func TestBatchedPathBitExactFeatherlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := pFast.Run(mk(), cpumodel.Default())
+	fast, err := pFast.Run(context.Background(), mk(), cpumodel.Default(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestBatchedPathBitExactFeatherlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pRef.RunReference(mk(), cpumodel.Default())
+	ref, err := runReference(pRef, mk())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -33,7 +34,7 @@ func mergeTestResults(t *testing.T, n int) []*Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := p.Run(s, cpumodel.Default())
+		r, err := p.Run(context.Background(), s, cpumodel.Default(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/cpu"
@@ -193,33 +194,41 @@ func (p *Profiler) onTrap(t debugreg.Trap) {
 	p.drs.Disarm(t.Slot)
 }
 
-// Run profiles an access stream end to end with the given cost model and
-// returns the result. It is the one-call convenience wrapper around
-// NewMachine + machine.Run + Result, executing on the batched engine.
-func (p *Profiler) Run(r trace.Reader, costs cpumodel.Costs) (*Result, error) {
-	m := p.NewMachine(costs)
-	if err := m.Run(r); err != nil {
-		return nil, err
+// Run profiles an access stream end to end on a fresh machine charging
+// costs, and returns the final Result. It is the one stream driver:
+// cancellation is checked at every batch boundary, so a profile of an
+// unbounded (or merely long) stream returns promptly with ctx.Err().
+//
+// With windowAccesses > 0 and a non-nil observe, observe receives the
+// profiler's live Snapshot at every windowAccesses-access boundary of
+// the stream, from the driving goroutine, between Execute batches — the
+// one place Snapshot is legal. Batches are split precisely at
+// boundaries, which is free of result skew: Execute is batch-split
+// invariant, so the final Result is bit-identical to an unobserved run
+// no matter how many windows were observed. A boundary landing exactly
+// on the end of the stream is observed before the final Result is
+// built. windowAccesses == 0 or a nil observe observes nothing.
+func (p *Profiler) Run(ctx context.Context, r trace.Reader, costs cpumodel.Costs, windowAccesses uint64, observe func(*Result)) (*Result, error) {
+	if windowAccesses == 0 || observe == nil {
+		windowAccesses = math.MaxUint64
 	}
-	return p.Result(), nil
-}
-
-// RunContext is Run honoring ctx: cancellation is checked at every
-// batch boundary, so a profile of an unbounded (or merely long) stream
-// returns promptly with ctx.Err() once the context is cancelled or its
-// deadline passes. The result is bit-identical to Run's — it drives the
-// same engine through the batch-invariant Execute/Finish pair.
-func (p *Profiler) RunContext(ctx context.Context, r trace.Reader, costs cpumodel.Costs) (*Result, error) {
 	m := p.NewMachine(costs)
 	buf := trace.BatchBuf()
 	defer trace.ReleaseBatchBuf(buf)
+	var sinceObs uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		n, err := r.Read(buf)
-		if n > 0 {
-			m.Execute(buf[:n])
+		for batch := buf[:n]; len(batch) > 0; {
+			k := min(uint64(len(batch)), windowAccesses-sinceObs)
+			m.Execute(batch[:k])
+			batch = batch[k:]
+			if sinceObs += k; sinceObs == windowAccesses {
+				observe(p.Snapshot())
+				sinceObs = 0
+			}
 		}
 		if err == io.EOF {
 			break
@@ -229,17 +238,6 @@ func (p *Profiler) RunContext(ctx context.Context, r trace.Reader, costs cpumode
 		}
 	}
 	m.Finish()
-	return p.Result(), nil
-}
-
-// RunReference is Run on the retained per-access reference loop
-// (cpu.Machine.RunReference). The differential tests assert it produces
-// results bit-identical to Run for every configuration.
-func (p *Profiler) RunReference(r trace.Reader, costs cpumodel.Costs) (*Result, error) {
-	m := p.NewMachine(costs)
-	if err := m.RunReference(r); err != nil {
-		return nil, err
-	}
 	return p.Result(), nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func runRDX(t *testing.T, cfg Config, r trace.Reader) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(r, cpumodel.Default())
+	res, err := p.Run(context.Background(), r, cpumodel.Default(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestResultTwicePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(trace.Cyclic(0, 8, 1000), cpumodel.Default()); err != nil {
+	if _, err := p.Run(context.Background(), trace.Cyclic(0, 8, 1000), cpumodel.Default(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -359,7 +360,7 @@ func TestCensoredRedistributionConservesMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pointer chase with reuse time >> period*k creates eviction storms.
-	res, err := p.Run(trace.PointerChase(3, 0, 200001, 600000), cpumodel.Default())
+	res, err := p.Run(context.Background(), trace.PointerChase(3, 0, 200001, 600000), cpumodel.Default(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

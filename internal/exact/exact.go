@@ -155,8 +155,8 @@ func Measure(r trace.Reader, g mem.Granularity) (*Profiler, error) {
 }
 
 // NaiveReuseDistances computes reuse distances with the O(N·M)
-// definition-following algorithm. It exists to property-test the treap
-// implementation and is only usable on small traces.
+// definition-following algorithm. It exists to property-test the
+// order-statistics implementations and is only usable on small traces.
 func NaiveReuseDistances(accs []mem.Access, g mem.Granularity) []uint64 {
 	out := make([]uint64, len(accs))
 	blocks := make([]mem.Addr, len(accs))

@@ -16,10 +16,10 @@ import "math/bits"
 //     scan: O(log B + block/64).
 //
 // Tombstones are reclaimed by a global rebuild when they outnumber live
-// keys, so memory stays O(live). Compared to the treap this trades
-// pointer chasing for sequential popcounts, which is ~10x faster on
-// large live sets; the treap remains as a reference implementation and
-// the two are property-tested against each other.
+// keys, so memory stays O(live). Compared to a balanced treap this
+// trades pointer chasing for sequential popcounts, which is ~10x faster
+// on large live sets; the tests keep a treap as the reference
+// implementation and property-test the two against each other.
 type osList struct {
 	blocks []osBlock
 	fen    []uint64 // Fenwick tree over blocks' live counts (1-based)

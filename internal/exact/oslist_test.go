@@ -139,3 +139,160 @@ func BenchmarkTreapOlkenPattern(b *testing.B) {
 		next++
 	}
 }
+
+// orderTreap is an order-statistics treap over uint64 keys (access
+// timestamps). Olken's reuse-distance algorithm needs exactly three
+// operations, all O(log m) for m live keys: insert a new (strictly
+// larger) key, delete an arbitrary key, and count the keys greater than
+// a given key.
+//
+// Nodes live in a flat slice with a free list, which keeps the structure
+// compact, allocation-light, and makes its memory footprint directly
+// measurable for the memory-overhead experiments.
+type orderTreap struct {
+	nodes []treapNode
+	free  []int32
+	root  int32
+	rng   *stats.RNG
+}
+
+type treapNode struct {
+	key         uint64
+	pri         uint32
+	left, right int32
+	size        uint32
+}
+
+const nilNode = int32(-1)
+
+func newOrderTreap(seed uint64) *orderTreap {
+	return &orderTreap{root: nilNode, rng: stats.NewRNG(seed)}
+}
+
+// Len returns the number of live keys.
+func (t *orderTreap) Len() int {
+	return int(t.size(t.root))
+}
+
+// StateBytes approximates the heap bytes held by the treap.
+func (t *orderTreap) StateBytes() uint64 {
+	const nodeBytes = 8 + 4 + 4 + 4 + 4 // key, pri, left, right, size
+	return uint64(cap(t.nodes))*nodeBytes + uint64(cap(t.free))*4
+}
+
+func (t *orderTreap) size(n int32) uint32 {
+	if n == nilNode {
+		return 0
+	}
+	return t.nodes[n].size
+}
+
+func (t *orderTreap) fix(n int32) {
+	t.nodes[n].size = 1 + t.size(t.nodes[n].left) + t.size(t.nodes[n].right)
+}
+
+func (t *orderTreap) alloc(key uint64) int32 {
+	var n int32
+	if len(t.free) > 0 {
+		n = t.free[len(t.free)-1]
+		t.free = t.free[:len(t.free)-1]
+	} else {
+		t.nodes = append(t.nodes, treapNode{})
+		n = int32(len(t.nodes) - 1)
+	}
+	t.nodes[n] = treapNode{key: key, pri: uint32(t.rng.Uint64()), left: nilNode, right: nilNode, size: 1}
+	return n
+}
+
+// Insert adds key. Keys must be unique (timestamps are).
+func (t *orderTreap) Insert(key uint64) {
+	t.root = t.insert(t.root, key)
+}
+
+func (t *orderTreap) insert(n int32, key uint64) int32 {
+	if n == nilNode {
+		return t.alloc(key)
+	}
+	if key < t.nodes[n].key {
+		t.nodes[n].left = t.insert(t.nodes[n].left, key)
+		if t.nodes[t.nodes[n].left].pri > t.nodes[n].pri {
+			n = t.rotateRight(n)
+		}
+	} else {
+		t.nodes[n].right = t.insert(t.nodes[n].right, key)
+		if t.nodes[t.nodes[n].right].pri > t.nodes[n].pri {
+			n = t.rotateLeft(n)
+		}
+	}
+	t.fix(n)
+	return n
+}
+
+func (t *orderTreap) rotateRight(n int32) int32 {
+	l := t.nodes[n].left
+	t.nodes[n].left = t.nodes[l].right
+	t.nodes[l].right = n
+	t.fix(n)
+	t.fix(l)
+	return l
+}
+
+func (t *orderTreap) rotateLeft(n int32) int32 {
+	r := t.nodes[n].right
+	t.nodes[n].right = t.nodes[r].left
+	t.nodes[r].left = n
+	t.fix(n)
+	t.fix(r)
+	return r
+}
+
+// Delete removes key if present and reports whether it was found.
+func (t *orderTreap) Delete(key uint64) bool {
+	var found bool
+	t.root, found = t.delete(t.root, key)
+	return found
+}
+
+func (t *orderTreap) delete(n int32, key uint64) (int32, bool) {
+	if n == nilNode {
+		return nilNode, false
+	}
+	var found bool
+	switch {
+	case key < t.nodes[n].key:
+		t.nodes[n].left, found = t.delete(t.nodes[n].left, key)
+	case key > t.nodes[n].key:
+		t.nodes[n].right, found = t.delete(t.nodes[n].right, key)
+	default:
+		// Rotate n down until it is a leaf, then free it.
+		l, r := t.nodes[n].left, t.nodes[n].right
+		switch {
+		case l == nilNode && r == nilNode:
+			t.free = append(t.free, n)
+			return nilNode, true
+		case l == nilNode || (r != nilNode && t.nodes[r].pri > t.nodes[l].pri):
+			n = t.rotateLeft(n)
+			t.nodes[n].left, found = t.delete(t.nodes[n].left, key)
+		default:
+			n = t.rotateRight(n)
+			t.nodes[n].right, found = t.delete(t.nodes[n].right, key)
+		}
+	}
+	t.fix(n)
+	return n, found
+}
+
+// CountGreater returns the number of keys strictly greater than key.
+func (t *orderTreap) CountGreater(key uint64) uint64 {
+	var count uint64
+	n := t.root
+	for n != nilNode {
+		if t.nodes[n].key > key {
+			count += 1 + uint64(t.size(t.nodes[n].right))
+			n = t.nodes[n].left
+		} else {
+			n = t.nodes[n].right
+		}
+	}
+	return count
+}

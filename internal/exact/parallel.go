@@ -3,6 +3,7 @@ package exact
 import (
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/histogram"
@@ -191,13 +192,20 @@ func combineShards(a, b *shardResult, attrib bool) *shardResult {
 		g.DistSum += agg.DistSum
 	}
 
-	// A's last-access times, one tree key per block; B's records evict
-	// their block's stale key as they resolve against it.
+	// A's last-access times, one key per block; B's records evict their
+	// block's stale key as they resolve against it. Access times are
+	// distinct, so the sorted keys feed osList's increasing-insert path;
+	// the counts do not depend on insertion order.
 	idx := make(map[mem.Addr]int32, len(a.blocks))
-	tree := newOrderTreap(1)
+	last := make([]uint64, len(a.blocks))
 	for i := range a.blocks {
 		idx[a.blocks[i].block] = int32(i)
-		tree.Insert(a.blocks[i].lastTime)
+		last[i] = a.blocks[i].lastTime
+	}
+	slices.Sort(last)
+	tree := newOSList()
+	for _, t := range last {
+		tree.InsertMax(t)
 	}
 	// Resolve B's first touches in first-touch order. `removed` counts
 	// B records already processed: each was accessed in B before the
@@ -208,13 +216,13 @@ func combineShards(a, b *shardResult, attrib bool) *shardResult {
 		rec := &b.blocks[i]
 		if ai, ok := idx[rec.block]; ok {
 			arec := &a.blocks[ai]
-			d := uint64(removed) + tree.CountGreater(arec.lastTime)
+			above, _ := tree.CountGreaterAndDelete(arec.lastTime)
+			d := uint64(removed) + above
 			a.dist.Add(d, 1)
 			a.time.Add(rec.firstTime-arec.lastTime, 1)
 			if attrib {
 				addShardPair(a.pairs, PairKey{UsePC: arec.lastPC, ReusePC: rec.firstPC}, d)
 			}
-			tree.Delete(arec.lastTime)
 			// The block's window-wide last access is now B's.
 			arec.lastTime, arec.lastPC = rec.lastTime, rec.lastPC
 		} else {
@@ -279,8 +287,8 @@ func finishShards(root *shardResult) *ParallelResult {
 		res.timeHist.Add(histogram.Infinite, 1)
 	}
 	// State model, as the sequential merge held it: one order-tree key
-	// (24-byte treap node + 4-byte free-list slot) plus one last-use map
-	// entry per distinct block.
+	// (a 24-byte tree node + 4-byte free-list slot) plus one last-use
+	// map entry per distinct block.
 	const mapEntryBytes = 56 // as Profiler.StateBytes models map[Addr]lastUse
 	const treeKeyBytes = 28
 	res.state = uint64(len(root.blocks)) * (mapEntryBytes + treeKeyBytes)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/exact"
@@ -120,7 +121,7 @@ func (o Options) RunA4() (*A4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rdx, err := prof.Run(p.mk(), cpumodel.Default())
+		rdx, err := prof.Run(context.Background(), p.mk(), cpumodel.Default(), 0, nil)
 		if err != nil {
 			return nil, err
 		}

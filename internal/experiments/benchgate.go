@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -41,7 +42,7 @@ func (o Options) gateMeasure(n uint64) map[string]func() error {
 			if err != nil {
 				return err
 			}
-			_, err = p.Run(engineBenchStream(n), cpumodel.Default())
+			_, err = p.Run(context.Background(), engineBenchStream(n), cpumodel.Default(), 0, nil)
 			return err
 		},
 		"exact-oracle-sequential": func() error {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -51,7 +52,7 @@ func (o Options) RunC1() (*C1Result, error) {
 			return nil, err
 		}
 		r := trace.Tag(matmulPCBase, trace.MatMulBlocked(0, matN, bs))
-		return p.Run(r, cpumodel.Default())
+		return p.Run(context.Background(), r, cpumodel.Default(), 0, nil)
 	}
 
 	naive, err := profile(matN) // bs == n: no tiling

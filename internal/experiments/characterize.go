@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/cache"
+	"repro/internal/mrc"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -111,7 +112,7 @@ func (o Options) RunF9() (*F9Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred := cache.PredictMissRatio(rdx.ReuseDistance, wordsCap)
+			pred := mrc.StackMissRatio(rdx.ReuseDistance, wordsCap)
 			pt := F9Point{
 				Workload:  name,
 				Lines:     wordsCap,

@@ -104,7 +104,7 @@ func (o Options) RunDrift() (*DriftResult, error) {
 			return nil, err
 		}
 		col := window.NewCollector(cfg.Granularity.BlockSize(), 4*driftWindowsPerPhase, window.DriftOptions{})
-		_, err = p.RunWindowedContext(context.Background(), r, cpumodel.Default(), win, func(s *core.Result) {
+		_, err = p.Run(context.Background(), r, cpumodel.Default(), win, func(s *core.Result) {
 			col.Observe(s.Accesses, s.Samples, s.ReuseDistance, s.ReuseTime)
 		})
 		if err != nil {

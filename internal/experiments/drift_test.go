@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,10 +40,7 @@ func TestBenchGateSeedsBaseline(t *testing.T) {
 	}
 	o := Quick()
 	o.Out = nil
-	// Quick-size reps finish in ~5ms each; medians of several keep the
-	// seed-then-gate comparison inside the gate's 25% noise floor on a
-	// shared CI box.
-	o.Reps = 5
+	o.Reps = 1
 
 	for name, prep := range map[string]func(path string){
 		"missing": func(string) {},
@@ -75,11 +73,30 @@ func TestBenchGateSeedsBaseline(t *testing.T) {
 				t.Errorf("%s file: seeded row %q has no throughput", name, row.Name)
 			}
 		}
-		// The second run gates against the fresh seed and must pass: the
-		// same machine does not regress against itself beyond the noise
-		// floor.
+		// Later runs gate against the seed. Comparing a fresh timing with
+		// the seed as is would test the machine's noise, not the gate,
+		// so rescale the seeded throughputs three orders of magnitude
+		// either way (with no recorded spread): a seed 1000x slower than
+		// this machine must pass, one 1000x faster must fail.
+		rescale := func(f float64) {
+			t.Helper()
+			scaled := *base
+			scaled.Rows = append([]EngineBenchRow(nil), base.Rows...)
+			for i := range scaled.Rows {
+				scaled.Rows[i].AccessesSec *= f
+				scaled.Rows[i].Spread = 0
+			}
+			if err := scaled.WriteJSON(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rescale(1e-3)
 		if err := o.RunBenchGate(path); err != nil {
-			t.Errorf("%s file: gate against own seed failed: %v", name, err)
+			t.Errorf("%s file: gate against a 1000x slower seed failed: %v", name, err)
+		}
+		rescale(1e3)
+		if err := o.RunBenchGate(path); err == nil || !strings.Contains(err.Error(), "regressed") {
+			t.Errorf("%s file: gate against a 1000x faster seed = %v, want a regression", name, err)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -199,10 +200,15 @@ func (o Options) RunEngineBench() (*EngineBenchResult, error) {
 				return err
 			}
 			if ref {
-				_, err := p.RunReference(engineBenchStream(n), cpumodel.Default())
-				return err
+				// The per-access reference loop, the engine's executable
+				// spec, run on the profiler's wired machine.
+				if err := p.NewMachine(cpumodel.Default()).RunReference(engineBenchStream(n)); err != nil {
+					return err
+				}
+				p.Result()
+				return nil
 			}
-			_, err = p.Run(engineBenchStream(n), cpumodel.Default())
+			_, err = p.Run(context.Background(), engineBenchStream(n), cpumodel.Default(), 0, nil)
 			return err
 		})
 	}
@@ -269,7 +275,7 @@ func (o Options) runMRCBench() (EngineBenchRow, error) {
 		return EngineBenchRow{}, err
 	}
 	n := min(o.Accesses, 4<<20)
-	res, err := p.Run(trace.ZipfAccess(o.Seed, 0, 1<<16, 1.0, n), cpumodel.Default())
+	res, err := p.Run(context.Background(), trace.ZipfAccess(o.Seed, 0, 1<<16, 1.0, n), cpumodel.Default(), 0, nil)
 	if err != nil {
 		return EngineBenchRow{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/report"
@@ -148,7 +149,7 @@ func (o Options) RunA3() (*A3Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rr, err := p.Run(r, costs)
+			rr, err := p.Run(context.Background(), r, costs, 0, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -157,8 +157,7 @@ func (s Sweep) sizes() []uint64 {
 // capacity: the predicted miss ratio of a fully associative LRU cache of
 // `lines` measurement blocks is the fraction of accesses with reuse
 // distance >= lines (cold accesses always miss). It is the single-point
-// primitive every curve in this package is built from, and is
-// bit-identical to the legacy cache.PredictMissRatio.
+// primitive every curve in this package is built from.
 func StackMissRatio(rd *histogram.Histogram, lines uint64) float64 {
 	if lines == 0 {
 		return 1

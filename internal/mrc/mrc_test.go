@@ -4,6 +4,7 @@
 package mrc_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestCurvePropertiesAllPoliciesAndGenerators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(trace.ZipfAccess(5, 0, 1<<14, 1.0, testN), cpumodel.Default())
+		res, err := p.Run(context.Background(), trace.ZipfAccess(5, 0, 1<<14, 1.0, testN), cpumodel.Default(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,21 +137,6 @@ func TestCurvePropertiesAllPoliciesAndGenerators(t *testing.T) {
 		rd := exactLineHistogram(t, mk)
 		checkCurve(t, name+"/hist", FromHistogram(rd, 64, Sweep{}))
 		checkCurve(t, name+"/hist-dense", FromHistogram(rd, 64, Sweep{PointsPerDoubling: 4}))
-	}
-}
-
-// TestStackMissRatioMatchesLegacy pins the bit-identity contract behind
-// the deprecated rdx.PredictMissRatio wrapper: StackMissRatio is the
-// same function as cache.PredictMissRatio at every capacity.
-func TestStackMissRatioMatchesLegacy(t *testing.T) {
-	rd := exactLineHistogram(t, func() trace.Reader {
-		return trace.ZipfAccess(9, 0, 1<<14, 0.8, 100_000)
-	})
-	caps := []uint64{0, 1, 2, 3, 7, 16, 100, 1024, 1 << 20, 1 << 40}
-	for _, c := range caps {
-		if got, want := StackMissRatio(rd, c), cache.PredictMissRatio(rd, c); got != want {
-			t.Errorf("capacity %d: StackMissRatio %v != cache.PredictMissRatio %v", c, got, want)
-		}
 	}
 }
 

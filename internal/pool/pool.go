@@ -553,7 +553,7 @@ func (p *Pool) ProfileThreads(ctx context.Context, streams []trace.Reader, cfg c
 }
 
 // Profile profiles a single stream through the pool (stream index 0, so
-// the config is used as-is) — rdx.Profile with pool placement and
+// the config is used as-is) — a local profile with pool placement and
 // failover.
 func (p *Pool) Profile(ctx context.Context, r trace.Reader, cfg core.Config) (*core.Result, error) {
 	m, err := p.ProfileThreads(ctx, []trace.Reader{r}, cfg)

@@ -33,7 +33,7 @@ func testPolicy(seed uint64) wire.RetryPolicy {
 // TestResilientProfileUnderFaults is the fault-injection acceptance
 // test: seeded connection drops, partial writes and bit corruption on
 // every connection, and the final result must still be bit-identical
-// to the local rdx.Profile ground truth.
+// to the local Session.Profile ground truth.
 func TestResilientProfileUnderFaults(t *testing.T) {
 	cfg := testConfig(400)
 	accs, err := trace.Collect(trace.ZipfAccess(17, 0, 8192, 1.0, 250000))
@@ -295,7 +295,18 @@ func TestShutdownRacesResume(t *testing.T) {
 	if _, err := holder.Open(cfg); err != nil {
 		t.Fatal(err)
 	}
+	// A dial returns once the kernel completes the handshake, not once
+	// the accept loop has taken the connection; a connection still in
+	// the backlog when Shutdown closes the listener is reset. Wait for
+	// the accept so the racer really is established before the drain.
+	accepted := s.AcceptedConns()
 	racer := dial(t, s)
+	for s.AcceptedConns() == accepted {
+		if time.Now().After(deadline.Add(5 * time.Second)) {
+			t.Fatal("racer connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

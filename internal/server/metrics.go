@@ -23,7 +23,8 @@ type metrics struct {
 	bytesIn        atomic.Uint64
 	batchBytes     atomic.Uint64 // batch-frame payload bytes (both framings)
 	peakQueueDepth atomic.Int64
-	pipelineDepth  atomic.Int64 // batches decoded but not yet executed
+	pipelineDepth  atomic.Int64  // batches decoded but not yet executed
+	connsAccepted  atomic.Uint64 // connections taken by the accept loop (tests only, not on /metrics)
 
 	// Fault-tolerance counters.
 	resumedSessions  atomic.Uint64 // sessions reopened from a checkpoint

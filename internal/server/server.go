@@ -391,6 +391,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: shutting down
 		}
+		s.metrics.connsAccepted.Add(1)
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}

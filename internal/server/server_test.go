@@ -84,21 +84,48 @@ func sameWireProfile(t *testing.T, label string, got, want *wire.Result) {
 	}
 }
 
-// localProfile is the ground truth: the public rdx.Profile API run
+// localProfile is the ground truth: the public Session.Profile API run
 // in-process on the same stream and config.
 func localProfile(t *testing.T, accs []mem.Access, cfg core.Config) *wire.Result {
 	t.Helper()
-	res, err := rdx.Profile(trace.FromSlice(accs), cfg)
+	res, err := rdx.New(rdx.WithConfig(cfg)).Profile(context.Background(), trace.FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wire.FromCore(res, true)
 }
 
+// pollProfile streams accs through a fresh session on c in batches of
+// batch accesses, polling Client.Snapshot after every every-th batch
+// and handing each snapshot to onSnap, then returns the final result.
+func pollProfile(t *testing.T, c *wire.Client, accs []mem.Access, cfg core.Config, batch, every int, onSnap func(*wire.Result)) *wire.Result {
+	t.Helper()
+	if _, err := c.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i, sent := 0, 0; i < len(accs); i += batch {
+		if err := c.SendBatch(accs[i:min(i+batch, len(accs))]); err != nil {
+			t.Fatal(err)
+		}
+		if sent++; sent%every == 0 {
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			onSnap(snap)
+		}
+	}
+	res, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestE2ERecordedTraceBitIdentical is the headline acceptance test:
 // record a trace, stream the recording to rdxd over loopback, and the
-// returned Result must be bit-identical to rdx.Profile on the same
-// stream and config.
+// returned Result must be bit-identical to a local Session.Profile on
+// the same stream and config.
 func TestE2ERecordedTraceBitIdentical(t *testing.T) {
 	var rec bytes.Buffer
 	if _, err := trace.Record(&rec, trace.ZipfAccess(11, 0, 8192, 1.0, 400000)); err != nil {
@@ -204,14 +231,7 @@ func TestLiveSnapshots(t *testing.T) {
 
 	s := start(t, server.Config{})
 	var snaps []*wire.Result
-	got, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{
-		BatchSize:     2000,
-		SnapshotEvery: 30,
-		OnSnapshot:    func(r *wire.Result) { snaps = append(snaps, r) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := pollProfile(t, dial(t, s), accs, cfg, 2000, 30, func(r *wire.Result) { snaps = append(snaps, r) })
 	sameWireProfile(t, "snapshotted remote vs local", got, want)
 
 	if len(snaps) < 2 {

@@ -1,9 +1,8 @@
 package server_test
 
 // Tests for the subscribe-to-snapshots watch surface: the pushed
-// snapshot stream must be byte-identical to what the deprecated poll
-// cadence (ProfileOptions.SnapshotEvery) observed at the same batch
-// boundaries, subscriptions must cancel cleanly, the continuous
+// snapshot stream must be byte-identical to what Client.Snapshot polls
+// observe at the same batch boundaries, subscriptions must cancel cleanly, the continuous
 // profiler's drift and working-set alerts must surface on /metrics.
 
 import (
@@ -19,10 +18,11 @@ import (
 )
 
 // TestWatchPushMatchesDeprecatedPoll drives the same stream twice: once
-// through the deprecated poll cadence, once under a watch subscription
-// paced on ReadPush at the same boundaries. Every pushed snapshot must
-// be byte-identical to the polled one — the compatibility contract that
-// lets -snapshot-every callers migrate to Watch without a result change.
+// polling Client.Snapshot every few batches, once under a watch
+// subscription paced on ReadPush at the same boundaries. Every pushed
+// snapshot must be byte-identical to the polled one — the contract
+// ReconnectingClient.WatchSnapshot relies on when it recovers a lost
+// push with a poll.
 func TestWatchPushMatchesDeprecatedPoll(t *testing.T) {
 	cfg := testConfig(400)
 	accs, err := trace.Collect(trace.ZipfAccess(41, 0, 4096, 1.0, 120000))
@@ -33,20 +33,13 @@ func TestWatchPushMatchesDeprecatedPoll(t *testing.T) {
 	s := start(t, server.Config{})
 
 	var polled []string
-	fin1, err := dial(t, s).Profile(trace.FromSlice(accs), cfg, wire.ProfileOptions{
-		BatchSize:     batch,
-		SnapshotEvery: every,
-		OnSnapshot: func(r *wire.Result) {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Error(err)
-			}
-			polled = append(polled, string(b))
-		},
+	fin1 := pollProfile(t, dial(t, s), accs, cfg, batch, every, func(r *wire.Result) {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Error(err)
+		}
+		polled = append(polled, string(b))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	c := dial(t, s)
 	if _, err := c.Open(cfg); err != nil {

@@ -236,22 +236,11 @@ type ProfileOptions struct {
 	// BatchSize is the number of accesses per frame (default
 	// trace.DefaultBatchSize).
 	BatchSize int
-	// SnapshotEvery requests a live snapshot every that many batches
-	// (0 = never) and passes it to OnSnapshot.
-	//
-	// Deprecated: this is the poll-style observation surface. New code
-	// subscribes with Watch/ReadPush (or rdx.Session.Watch), which
-	// streams the same snapshots server-initiated. The polling path is
-	// kept bit-identical: a poll after batch N and a push covering
-	// batch N return the same result, which the differential tests
-	// hold.
-	SnapshotEvery int
-	OnSnapshot    func(*Result)
 }
 
 // Profile streams r through a fresh session end to end: Open, batched
-// SendBatch to exhaustion, Finish. It is the remote analogue of
-// rdx.Profile and returns the bit-identical result.
+// SendBatch to exhaustion, Finish. It is the remote analogue of a local
+// profile and returns the bit-identical result.
 func (c *Client) Profile(r trace.Reader, cfg core.Config, opts ProfileOptions) (*Result, error) {
 	batch := opts.BatchSize
 	if batch <= 0 {
@@ -267,22 +256,11 @@ func (c *Client) Profile(r trace.Reader, cfg core.Config, opts ProfileOptions) (
 	} else {
 		buf = make([]mem.Access, batch)
 	}
-	sent := 0
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {
 			if err := c.SendBatch(buf[:n]); err != nil {
 				return nil, err
-			}
-			sent++
-			if opts.SnapshotEvery > 0 && sent%opts.SnapshotEvery == 0 {
-				snap, err := c.Snapshot()
-				if err != nil {
-					return nil, err
-				}
-				if opts.OnSnapshot != nil {
-					opts.OnSnapshot(snap)
-				}
 			}
 		}
 		if rerr == io.EOF {

@@ -220,20 +220,6 @@ func (r *ReconnectingClient) Sync(ctx context.Context) (uint64, error) {
 	return acked, nil
 }
 
-// Snapshot requests a live intermediate result.
-func (r *ReconnectingClient) Snapshot(ctx context.Context) (*Result, error) {
-	var res *Result
-	err := r.withRetry(ctx, func(c *Client) error {
-		s, err := c.Snapshot()
-		if err != nil {
-			return err
-		}
-		res = s
-		return nil
-	})
-	return res, err
-}
-
 // Finish ends the stream and returns the final result. If the final
 // result frame is lost in flight, the retry resumes the session — the
 // server retains a finished session's result for exactly this replay —
@@ -277,22 +263,11 @@ func (r *ReconnectingClient) Profile(ctx context.Context, tr trace.Reader, opts 
 	} else {
 		buf = make([]mem.Access, batch)
 	}
-	sent := 0
 	for {
 		n, rerr := tr.Read(buf)
 		if n > 0 {
 			if err := r.SendBatch(ctx, buf[:n]); err != nil {
 				return nil, err
-			}
-			sent++
-			if opts.SnapshotEvery > 0 && sent%opts.SnapshotEvery == 0 {
-				snap, err := r.Snapshot(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if opts.OnSnapshot != nil {
-					opts.OnSnapshot(snap)
-				}
 			}
 		}
 		if rerr == io.EOF {

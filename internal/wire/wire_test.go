@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -114,7 +115,7 @@ func TestResultJSONBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(trace.ZipfAccess(5, 0, 4096, 1.0, 300000), cpumodel.Default())
+	res, err := p.Run(context.Background(), trace.ZipfAccess(5, 0, 4096, 1.0, 300000), cpumodel.Default(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestToCoreInverseOfFromCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(trace.ZipfAccess(9, 0, 4096, 1.0, 200000), cpumodel.Default())
+		res, err := p.Run(context.Background(), trace.ZipfAccess(9, 0, 4096, 1.0, 200000), cpumodel.Default(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestToCoreMergesLikeLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(trace.ZipfAccess(uint64(30+i), mem.Addr(uint64(i)<<40), 2048, 1.0, 80000), cpumodel.Default())
+		res, err := p.Run(context.Background(), trace.ZipfAccess(uint64(30+i), mem.Addr(uint64(i)<<40), 2048, 1.0, 80000), cpumodel.Default(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ type Workload struct {
 	// FootprintWords approximates the number of distinct 8-byte words the
 	// kernel touches, independent of run length.
 	FootprintWords uint64
-	// New builds a fresh single-use access stream of approximately n
+	// New builds a fresh single-use access stream of at least n
 	// accesses with the given seed.
 	New func(seed uint64, n uint64) trace.Reader
 }
@@ -77,7 +77,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x402000, trace.PointerChase(seed+1, 2*regionStride, 300_000, n*7/10)),
-					trace.Tag(0x402100, trace.ZipfAccess(seed+2, 2*regionStride+1<<30, 12_000, 1.1, n*3/10)),
+					trace.Tag(0x402100, trace.ZipfAccess(seed+2, 2*regionStride+1<<30, 12_000, 1.1, n-n*7/10)),
 				},
 				[]float64{7, 3})
 		},
@@ -98,7 +98,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x404000, trace.ZipfAccess(seed+1, 4*regionStride, 230_000, 1.2, n*8/10)),
-					trace.Tag(0x404100, trace.RandomUniform(seed+2, 4*regionStride+1<<30, 3_500_000, n*2/10)),
+					trace.Tag(0x404100, trace.RandomUniform(seed+2, 4*regionStride+1<<30, 3_500_000, n-n*8/10)),
 				},
 				[]float64{8, 2})
 		},
@@ -111,7 +111,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x405000, trace.PointerChase(seed+1, 5*regionStride, 190_000, n*6/10)),
-					trace.Tag(0x405100, trace.Cyclic(5*regionStride+1<<30, 95_000, n*4/10)),
+					trace.Tag(0x405100, trace.Cyclic(5*regionStride+1<<30, 95_000, n-n*6/10)),
 				},
 				[]float64{6, 4})
 		},
@@ -124,7 +124,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x406000, trace.ZipfAccess(seed+1, 6*regionStride, 1_900_000, 1.0, n/2)),
-					trace.Tag(0x406100, trace.PointerChase(seed+2, 6*regionStride+1<<30, 210_000, n/2)),
+					trace.Tag(0x406100, trace.PointerChase(seed+2, 6*regionStride+1<<30, 210_000, n-n/2)),
 				},
 				[]float64{5, 5})
 		},
@@ -138,7 +138,7 @@ var suite = []Workload{
 				[]trace.Reader{
 					trace.Tag(0x407000, trace.Cyclic(7*regionStride, 15_000, n*4/10)),
 					trace.Tag(0x407100, trace.ZipfAccess(seed+1, 7*regionStride+1<<30, 900_000, 1.0, n*4/10)),
-					trace.Tag(0x407200, trace.Cyclic(7*regionStride+1<<31, 330_000, n*2/10)),
+					trace.Tag(0x407200, trace.Cyclic(7*regionStride+1<<31, 330_000, n-2*(n*4/10))),
 				},
 				[]float64{4, 4, 2})
 		},
@@ -151,7 +151,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x408000, trace.Cyclic(8*regionStride, 3_800, n/2)),
-					trace.Tag(0x408100, trace.ZipfAccess(seed+1, 8*regionStride+1<<30, 470_000, 1.1, n/2)),
+					trace.Tag(0x408100, trace.ZipfAccess(seed+1, 8*regionStride+1<<30, 470_000, 1.1, n-n/2)),
 				},
 				[]float64{5, 5})
 		},
@@ -183,7 +183,7 @@ var suite = []Workload{
 		Desc:           "numerical relativity: 5-point stencil sweeps over a big 2D grid",
 		FootprintWords: 1500 * 1500,
 		New: func(seed, n uint64) trace.Reader {
-			sweeps := int(n/(1500*1500*6)) + 1
+			sweeps := int(n/(1498*1498*6)) + 1
 			return trace.Tag(0x40b000, trace.Stencil2D(11*regionStride, 1500, 1500, sweeps))
 		},
 	},
@@ -192,7 +192,7 @@ var suite = []Workload{
 		Desc:           "FDTD electromagnetics: stencil over a wide shallow grid",
 		FootprintWords: 5000 * 700,
 		New: func(seed, n uint64) trace.Reader {
-			sweeps := int(n/(5000*700*6)) + 1
+			sweeps := int(n/(4998*698*6)) + 1
 			return trace.Tag(0x40c000, trace.Stencil2D(12*regionStride, 5000, 700, sweeps))
 		},
 	},
@@ -217,7 +217,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x40e000, trace.GaussianWorkingSet(seed+1, 14*regionStride, 6_500_000, 30_000, 1<<14, n*6/10)),
-					trace.Tag(0x40e100, trace.Cyclic(14*regionStride+1<<31, 3_300_000, n*4/10)),
+					trace.Tag(0x40e100, trace.Cyclic(14*regionStride+1<<31, 3_300_000, n-n*6/10)),
 				},
 				[]float64{6, 4})
 		},
@@ -230,7 +230,7 @@ var suite = []Workload{
 			return trace.Mix(seed,
 				[]trace.Reader{
 					trace.Tag(0x40f000, trace.Cyclic(15*regionStride, 1_900, n/2)),
-					trace.Tag(0x40f100, trace.ZipfAccess(seed+1, 15*regionStride, 1_900, 0.8, n/2)),
+					trace.Tag(0x40f100, trace.ZipfAccess(seed+1, 15*regionStride, 1_900, 0.8, n-n/2)),
 				},
 				[]float64{5, 5})
 		},
@@ -264,10 +264,10 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
 }
 
-// Build constructs the access stream for a named workload, truncated to
-// at most n accesses. Generators are sized to produce ~n (component
-// shares round down, so a composed stream may run a few accesses short),
-// and Limit caps any overshoot so runs stay comparable across workloads.
+// Build constructs the access stream for a named workload with exactly
+// n accesses. Composed generators give their last component the
+// remainder of the rounded-down shares, so they produce at least n, and
+// Limit caps any overshoot so runs stay comparable across workloads.
 func Build(name string, seed, n uint64) (trace.Reader, error) {
 	w, err := ByName(name)
 	if err != nil {

@@ -41,11 +41,13 @@ GOMAXPROCS=4 go test -count=1 ./...
 
 # Scheduling-sensitive packages, repeated at two core counts: the
 # session, reconnect, pool and migration paths race goroutines by
-# design, and a race that a 1-CPU host never interleaves surfaces here
-# on any box instead of in production.
+# design, as do the root package's Session E2E tests and the worker
+# pool behind internal/core's ProfileThreads, and a race that a 1-CPU
+# host never interleaves surfaces here on any box instead of in
+# production.
 for procs in 2 4; do
-    echo "==> server/wire/pool/ctrl -count=5 (GOMAXPROCS=$procs)"
-    GOMAXPROCS=$procs go test -count=5 ./internal/server ./internal/wire ./internal/pool ./internal/ctrl
+    echo "==> root/core/server/wire/pool/ctrl -count=5 (GOMAXPROCS=$procs)"
+    GOMAXPROCS=$procs go test -count=5 . ./internal/core ./internal/server ./internal/wire ./internal/pool ./internal/ctrl
 done
 
 # Executor chaos smoke: 6 concurrent sessions on a 4-worker

@@ -45,16 +45,15 @@ func ParseBackends(spec string) ([]Backend, error) { return pool.ParseBackends(s
 // A Session is immutable after New and safe for concurrent use; each
 // Profile/ProfileThreads call is an independent run.
 type Session struct {
-	cfg        Config
-	costs      Costs
-	remotes    []Backend
-	retry      *RetryPolicy
-	remoteOpts RemoteOptions
-	workers    int
-	poolOpts   PoolOptions
-	poolSet    bool
-	window     *WindowOptions
-	err        error
+	cfg      Config
+	costs    Costs
+	remotes  []Backend
+	retry    *RetryPolicy
+	workers  int
+	poolOpts PoolOptions
+	poolSet  bool
+	window   *WindowOptions
+	err      error
 }
 
 // Option configures a Session at New time.
@@ -103,12 +102,6 @@ func WithRetry(policy RetryPolicy) Option {
 	return func(s *Session) { s.retry = &policy }
 }
 
-// WithRemoteOptions tunes remote streaming (batch size, live-snapshot
-// cadence and callback).
-func WithRemoteOptions(opts RemoteOptions) Option {
-	return func(s *Session) { s.remoteOpts = opts }
-}
-
 // WithWorkers bounds how many streams a local ProfileThreads simulates
 // concurrently (n <= 0 selects GOMAXPROCS). Results are independent of
 // the worker count.
@@ -128,9 +121,6 @@ func (s *Session) newPool() (*pool.Pool, error) {
 	if s.retry != nil {
 		opts.Retry = *s.retry
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = s.remoteOpts.BatchSize
-	}
 	return pool.New(s.remotes, opts)
 }
 
@@ -148,7 +138,7 @@ func (s *Session) Profile(ctx context.Context, r Reader) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.RunContext(ctx, r, s.costs)
+		res, err := p.Run(ctx, r, s.costs, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("rdx: profiling: %w", err)
 		}
@@ -161,7 +151,7 @@ func (s *Session) Profile(ctx context.Context, r Reader) (*Result, error) {
 		if s.retry != nil {
 			c := wire.NewReconnectingClient(s.remotes[0].Addr, s.cfg, *s.retry)
 			defer c.Close()
-			wres, err = c.Profile(ctx, r, s.remoteOpts)
+			wres, err = c.Profile(ctx, r, wire.ProfileOptions{})
 		} else {
 			var c *wire.Client
 			c, err = wire.DialContext(ctx, s.remotes[0].Addr)
@@ -169,7 +159,7 @@ func (s *Session) Profile(ctx context.Context, r Reader) (*Result, error) {
 				return nil, err
 			}
 			defer c.Close()
-			wres, err = c.Profile(r, s.cfg, s.remoteOpts)
+			wres, err = c.Profile(r, s.cfg, wire.ProfileOptions{})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("rdx: remote profiling: %w", err)
@@ -196,7 +186,7 @@ func (s *Session) ProfileThreads(ctx context.Context, streams []Reader) (*MultiR
 		return nil, s.err
 	}
 	if len(s.remotes) == 0 {
-		return core.ProfileThreadsPoolContext(ctx, streams, s.cfg, s.costs, s.workers)
+		return core.ProfileThreads(ctx, streams, s.cfg, s.costs, s.workers)
 	}
 	p, err := s.newPool()
 	if err != nil {
@@ -205,15 +195,3 @@ func (s *Session) ProfileThreads(ctx context.Context, streams []Reader) (*MultiR
 	defer p.Close()
 	return p.ProfileThreads(ctx, streams, s.cfg)
 }
-
-// RemoteToResult converts a wire-form profile back to the in-memory
-// Result — the inverse of ResultToRemote, so remotely produced profiles
-// are fully interchangeable with local ones (Footprint is rebuilt at
-// histogram resolution; everything else round-trips bit-identically).
-//
-// Deprecated: the Session API returns in-memory Results directly, and
-// serialized reports now travel in the versioned report.Schema envelope
-// (see `rdx -json` and `rdx diff`), so callers rarely hold a bare
-// RemoteResult anymore. The wrapper is kept bit-identical for the ones
-// that do.
-func RemoteToResult(res *RemoteResult) *Result { return wire.ToCore(res) }

@@ -1,10 +1,10 @@
 package rdx
 
 // Differential tests for the options-based Session API: every
-// deprecated package-level entry point must produce results
-// bit-identical to the equivalent New(...) call, across all watchpoint
-// replacement policies — the compatibility contract the deprecation
-// rests on.
+// execution strategy must produce results bit-identical to the engine
+// driver it dispatches to (core.Profiler.Run, core.ProfileThreads, the
+// plain and reconnecting wire clients), across all watchpoint
+// replacement policies.
 
 import (
 	"context"
@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 var allPolicies = []ReplacementPolicy{
@@ -47,30 +49,33 @@ func TestSessionDifferentialLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		oldRes, err := Profile(FromSlice(accs), cfg)
-		if err != nil {
-			t.Fatal(err)
+		driver := func(costs Costs) *Result {
+			p, err := core.NewProfiler(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(ctx, FromSlice(accs), costs, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
 		newRes, err := New(WithConfig(cfg)).Profile(ctx, FromSlice(accs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fingerprint(t, oldRes) != fingerprint(t, newRes) {
-			t.Errorf("%v: Profile wrapper diverges from Session", pol)
+		if fingerprint(t, driver(DefaultCosts())) != fingerprint(t, newRes) {
+			t.Errorf("%v: Session diverges from the core driver", pol)
 		}
 
 		costs := DefaultCosts()
 		costs.TrapCycles *= 2
-		oldRes, err = ProfileWithCosts(FromSlice(accs), cfg, costs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		newRes, err = New(WithConfig(cfg), WithCosts(costs)).Profile(ctx, FromSlice(accs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fingerprint(t, oldRes) != fingerprint(t, newRes) {
-			t.Errorf("%v: ProfileWithCosts wrapper diverges from Session", pol)
+		if fingerprint(t, driver(costs)) != fingerprint(t, newRes) {
+			t.Errorf("%v: Session with costs diverges from the core driver", pol)
 		}
 	}
 }
@@ -100,28 +105,18 @@ func TestSessionDifferentialThreads(t *testing.T) {
 	}
 	for _, pol := range allPolicies {
 		cfg := policyConfig(pol)
-		oldM, err := ProfileThreads(mkStreams(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newM, err := New(WithConfig(cfg)).ProfileThreads(ctx, mkStreams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multiFP(oldM) != multiFP(newM) {
-			t.Errorf("%v: ProfileThreads wrapper diverges from Session", pol)
-		}
-
-		oldM, err = ProfileThreadsPool(mkStreams(), cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newM, err = New(WithConfig(cfg), WithWorkers(2)).ProfileThreads(ctx, mkStreams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multiFP(oldM) != multiFP(newM) {
-			t.Errorf("%v: ProfileThreadsPool wrapper diverges from Session", pol)
+		for _, workers := range []int{0, 2} {
+			driverM, err := core.ProfileThreads(ctx, mkStreams(), cfg, DefaultCosts(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newM, err := New(WithConfig(cfg), WithWorkers(workers)).ProfileThreads(ctx, mkStreams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if multiFP(driverM) != multiFP(newM) {
+				t.Errorf("%v, %d workers: Session diverges from core.ProfileThreads", pol, workers)
+			}
 		}
 	}
 }
@@ -145,8 +140,13 @@ func TestSessionDifferentialRemote(t *testing.T) {
 	}
 	localFP := fingerprint(t, local)
 
-	// Plain remote: deprecated wrapper vs Session, vs local.
-	oldW, err := ProfileRemote(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{})
+	// Plain remote: wire.Client vs Session, vs local.
+	c, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	clientW, err := c.Profile(FromSlice(accs), cfg, wire.ProfileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,9 @@ func TestSessionDifferentialRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldJ, _ := json.Marshal(oldW)
-	if string(oldJ) != fingerprint(t, newRes) {
-		t.Error("ProfileRemote wrapper diverges from Session")
+	clientJ, _ := json.Marshal(clientW)
+	if string(clientJ) != fingerprint(t, newRes) {
+		t.Error("remote Session diverges from wire.Client")
 	}
 	// StateBytes reports capacity growth, which legitimately differs
 	// between the server's batch sizes and the local profiler's; zero it
@@ -174,9 +174,11 @@ func TestSessionDifferentialRemote(t *testing.T) {
 		t.Error("remote Session result diverges from local")
 	}
 
-	// Resilient remote: deprecated wrapper vs Session.
+	// Resilient remote: wire.ReconnectingClient vs Session.
 	policy := RetryPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, OpTimeout: 10 * time.Second}
-	oldW, err = ProfileRemoteResilient(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{}, policy)
+	rc := wire.NewReconnectingClient(srv.Addr(), cfg, policy)
+	defer rc.Close()
+	clientW, err = rc.Profile(ctx, FromSlice(accs), wire.ProfileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,24 +186,9 @@ func TestSessionDifferentialRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldJ, _ = json.Marshal(oldW)
-	if string(oldJ) != fingerprint(t, newRes) {
-		t.Error("ProfileRemoteResilient wrapper diverges from Session")
-	}
-}
-
-func TestSessionRemoteToResultInverse(t *testing.T) {
-	cfg := policyConfig(ReplaceHybrid)
-	res, err := New(WithConfig(cfg)).Profile(context.Background(), ZipfAccess(3, 0, 2048, 1.0, 80000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := RemoteToResult(ResultToRemote(res))
-	if fingerprint(t, back) != fingerprint(t, res) {
-		t.Error("RemoteToResult is not the inverse of ResultToRemote")
-	}
-	if back.Footprint == nil {
-		t.Error("footprint not rebuilt on conversion")
+	clientJ, _ = json.Marshal(clientW)
+	if string(clientJ) != fingerprint(t, newRes) {
+		t.Error("resilient remote Session diverges from wire.ReconnectingClient")
 	}
 }
 

@@ -102,12 +102,9 @@ type WatchOptions struct {
 // Watch profiles the streams like ProfileThreads while streaming
 // window snapshots to the returned channel: one WindowSnapshot per
 // window boundary, in order, then a Final snapshot carrying the
-// lifetime result, then close. This is the subscribe-style observation
-// surface replacing poll-style snapshots (RemoteOptions.SnapshotEvery)
-// — same engine, same windows the deprecated path would have polled,
-// delivered server-initiated on remote sessions via the wire watch
-// subscription, which survives reconnects without losing or
-// reordering a single boundary.
+// lifetime result, then close. On remote sessions the snapshots are
+// delivered server-initiated via the wire watch subscription, which
+// survives reconnects without losing or reordering a single boundary.
 //
 // The lifetime aggregate never flows through the windowing code — it
 // is the same exact-sum merge of per-thread finals ProfileThreads
@@ -253,7 +250,7 @@ func (s *Session) watchThread(ctx context.Context, i int, r Reader, wo WindowOpt
 			send(threadEvent{err: err})
 			return
 		}
-		res, err := p.RunWindowedContext(ctx, r, s.costs, wo.EveryAccesses, func(snap *core.Result) {
+		res, err := p.Run(ctx, r, s.costs, wo.EveryAccesses, func(snap *core.Result) {
 			send(threadEvent{cum: snap})
 		})
 		if err != nil {
@@ -289,22 +286,9 @@ func (s *Session) watchThreadRemote(ctx context.Context, r Reader, tcfg core.Con
 		addr = b.Addr
 	}
 
-	batch := s.remoteOpts.BatchSize
-	if batch <= 0 {
-		batch = trace.DefaultBatchSize
-	}
-	everyBatches := int(wo.EveryAccesses / uint64(batch))
-	if everyBatches < 1 {
-		everyBatches = 1
-	}
-
-	var buf []Access
-	if batch <= trace.DefaultBatchSize {
-		buf = trace.BatchBuf()[:batch]
-		defer trace.ReleaseBatchBuf(buf)
-	} else {
-		buf = make([]Access, batch)
-	}
+	everyBatches := max(int(wo.EveryAccesses/trace.DefaultBatchSize), 1)
+	buf := trace.BatchBuf()
+	defer trace.ReleaseBatchBuf(buf)
 
 	if s.retry != nil {
 		rc := wire.NewReconnectingClient(addr, tcfg, *s.retry)

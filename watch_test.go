@@ -4,7 +4,7 @@ package rdx
 // Session.Watch must deliver every window boundary in order and leave
 // the lifetime result bit-identical to ProfileThreads — locally,
 // remotely, and across injected connection faults — and the window
-// stream must match what the deprecated poll cadence observed.
+// stream must match what Client.Snapshot polls observe.
 
 import (
 	"context"
@@ -205,10 +205,10 @@ func TestWatchRemoteDifferential(t *testing.T) {
 		t.Fatal(lfinal.Err)
 	}
 
-	// BatchSize 2048 divides the window length, so the remote boundaries
-	// (whole batches) land on exactly the local ones.
-	remote, err := New(WithConfig(cfg), WithRemote(srv.Addr()),
-		WithRemoteOptions(RemoteOptions{BatchSize: 2048}), WithWindow(wo)).
+	// The default batch (4096 accesses) divides the window length, so
+	// the remote boundaries (whole batches) land on exactly the local
+	// ones.
+	remote, err := New(WithConfig(cfg), WithRemote(srv.Addr()), WithWindow(wo)).
 		Watch(ctx, WatchOptions{Streams: []Reader{FromSlice(accs)}})
 	if err != nil {
 		t.Fatal(err)
@@ -231,11 +231,10 @@ func TestWatchRemoteDifferential(t *testing.T) {
 	}
 }
 
-// TestWatchMatchesDeprecatedSnapshotPolling pins the migration contract
-// for -snapshot-every users: a Watch subscription at the equivalent
-// cadence delivers cumulative snapshots byte-identical (StateBytes
-// included — same daemon, same batches) to what the deprecated
-// RemoteOptions.SnapshotEvery polling observed.
+// TestWatchMatchesDeprecatedSnapshotPolling pins push against poll: a
+// Watch subscription delivers cumulative snapshots byte-identical
+// (StateBytes included — same daemon, same batches) to what
+// Client.Snapshot polls at the same batch boundaries return.
 func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 	srv, err := server.New(server.Config{Logf: func(string, ...any) {}})
 	if err != nil {
@@ -250,26 +249,39 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var polled []string
-	_, err = ProfileRemote(ctx, srv.Addr(), FromSlice(accs), cfg, RemoteOptions{
-		BatchSize:     2048,
-		SnapshotEvery: 8,
-		OnSnapshot: func(r *RemoteResult) {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Error(err)
-			}
-			polled = append(polled, string(b))
-		},
-	})
+	// Poll after every 4th default-size batch: EveryAccesses 16384
+	// below is the same boundaries.
+	const batch, every = trace.DefaultBatchSize, 4
+	c, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	if _, err := c.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var polled []string
+	for i, sent := 0, 0; i < len(accs); i += batch {
+		if err := c.SendBatch(accs[i:min(i+batch, len(accs))]); err != nil {
+			t.Fatal(err)
+		}
+		if sent++; sent%every == 0 {
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polled = append(polled, string(b))
+		}
+	}
+	if _, err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
 
-	// EveryAccesses 16384 at BatchSize 2048 is every 8 batches — the
-	// same boundaries the poll hit.
-	ch, err := New(WithConfig(cfg), WithRemote(srv.Addr()),
-		WithRemoteOptions(RemoteOptions{BatchSize: 2048})).
+	ch, err := New(WithConfig(cfg), WithRemote(srv.Addr())).
 		Watch(ctx, WatchOptions{
 			Streams: []Reader{FromSlice(accs)},
 			Window:  &WindowOptions{EveryAccesses: 16384},
@@ -282,7 +294,7 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 		t.Fatal(final.Err)
 	}
 	if len(wins) == 0 || len(wins) != len(polled) {
-		t.Fatalf("watch delivered %d windows, deprecated polling %d snapshots", len(wins), len(polled))
+		t.Fatalf("watch delivered %d windows, polling %d snapshots", len(wins), len(polled))
 	}
 	for i := range wins {
 		b, err := json.Marshal(wire.FromCore(wins[i].Cumulative.Threads[0], false))
@@ -290,7 +302,7 @@ func TestWatchMatchesDeprecatedSnapshotPolling(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(b) != polled[i] {
-			t.Errorf("boundary %d: watched snapshot differs from deprecated polled snapshot", i+1)
+			t.Errorf("boundary %d: watched snapshot differs from polled snapshot", i+1)
 		}
 	}
 }
@@ -331,8 +343,7 @@ func TestWatchReconnectDeliversEveryWindowInOrder(t *testing.T) {
 	}
 	policy.Dial = faults.DialContext
 
-	ch, err := New(WithConfig(cfg), WithRemote(srv.Addr()), WithRetry(policy),
-		WithRemoteOptions(RemoteOptions{BatchSize: 2048})).
+	ch, err := New(WithConfig(cfg), WithRemote(srv.Addr()), WithRetry(policy)).
 		Watch(ctx, WatchOptions{
 			Streams: []Reader{FromSlice(accs)},
 			Window:  &WindowOptions{EveryAccesses: 16384},
@@ -344,8 +355,8 @@ func TestWatchReconnectDeliversEveryWindowInOrder(t *testing.T) {
 	if final.Err != nil {
 		t.Fatalf("faulted watch failed: %v", final.Err)
 	}
-	// 250000 accesses in 2048-access batches = 123 batches; a boundary
-	// every 8 batches = 15 windows (drainWatch already checked density
+	// 250000 accesses in 4096-access batches = 62 batches; a boundary
+	// every 4 batches = 15 windows (drainWatch already checked density
 	// and order).
 	if len(wins) != 15 {
 		t.Fatalf("got %d windows, want 15", len(wins))
@@ -354,8 +365,7 @@ func TestWatchReconnectDeliversEveryWindowInOrder(t *testing.T) {
 		t.Fatalf("fault schedule produced %d connections; the test needs at least one reconnect", faults.Conns())
 	}
 
-	ref, err := New(WithConfig(cfg), WithRemote(srv.Addr()),
-		WithRemoteOptions(RemoteOptions{BatchSize: 2048})).Profile(ctx, FromSlice(accs))
+	ref, err := New(WithConfig(cfg), WithRemote(srv.Addr())).Profile(ctx, FromSlice(accs))
 	if err != nil {
 		t.Fatal(err)
 	}
