@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -16,6 +18,105 @@ import (
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
+
+// EngineBenchRow is one measured gate row: the median of Reps timed
+// runs of the same work.
+type EngineBenchRow struct {
+	Name        string  `json:"name"`
+	Accesses    uint64  `json:"accesses"`
+	Seconds     float64 `json:"seconds"`
+	AccessesSec float64 `json:"accesses_per_sec"`
+	// Reps, MinAccessesSec, MaxAccessesSec and Spread record
+	// measurement variance when the row was repeated: Seconds and
+	// AccessesSec are the median rep, Spread is (max-min)/median
+	// throughput — the row's own noise band, which the gate must stay
+	// outside of before declaring a change real.
+	Reps           int     `json:"reps,omitempty"`
+	MinAccessesSec float64 `json:"min_accesses_per_sec,omitempty"`
+	MaxAccessesSec float64 `json:"max_accesses_per_sec,omitempty"`
+	Spread         float64 `json:"spread,omitempty"`
+}
+
+// EngineBenchResult is the committed gate record, BENCH_engine.json:
+// the operating point (accesses, period) and the gate rows measured
+// there.
+type EngineBenchResult struct {
+	Timestamp  string           `json:"timestamp"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	Accesses   uint64           `json:"accesses"`
+	Period     uint64           `json:"period"`
+	Rows       []EngineBenchRow `json:"rows"`
+}
+
+// ReadEngineBench loads a previously written BENCH_engine.json record.
+func ReadEngineBench(path string) (*EngineBenchResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r EngineBenchResult
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return &r, nil
+}
+
+// WriteJSON writes the record to path.
+func (r *EngineBenchResult) WriteJSON(path string) error {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// engineBenchStream is the engine gate's workload: a cyclic sweep over
+// a small working set, so watchpoints resolve quickly and the engine
+// spends most of its time in the skip-ahead path — the regime the
+// featherlight design targets.
+func engineBenchStream(n uint64) trace.Reader {
+	return trace.Cyclic(0, 1<<10, n)
+}
+
+// rowFromSecs builds a row from per-rep wall times: the median rep is
+// the headline number, min/max/spread record the observed noise band.
+func rowFromSecs(name string, n uint64, secs []float64) EngineBenchRow {
+	sorted := append([]float64(nil), secs...)
+	sort.Float64s(sorted)
+	med := sorted[len(sorted)/2]
+	row := EngineBenchRow{Name: name, Accesses: n, Seconds: med}
+	if med > 0 {
+		row.AccessesSec = float64(n) / med
+	}
+	if len(sorted) > 1 {
+		row.Reps = len(sorted)
+		row.MinAccessesSec = float64(n) / sorted[len(sorted)-1]
+		row.MaxAccessesSec = float64(n) / sorted[0]
+		if row.AccessesSec > 0 {
+			row.Spread = (row.MaxAccessesSec - row.MinAccessesSec) / row.AccessesSec
+		}
+	}
+	return row
+}
+
+// timeRun measures f reps times and returns the median as the row,
+// with min/max/spread recording the observed noise band. f must be
+// self-contained (build its own state each call) so every rep measures
+// the same work.
+func timeRun(name string, n uint64, reps int, f func() error) (EngineBenchRow, error) {
+	if reps < 1 {
+		reps = 1
+	}
+	secs := make([]float64, 0, reps)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		if err := f(); err != nil {
+			return EngineBenchRow{}, fmt.Errorf("%s: %w", name, err)
+		}
+		secs = append(secs, time.Since(start).Seconds())
+	}
+	return rowFromSecs(name, n, secs), nil
+}
 
 // benchGateRows are the rows RunBenchGate re-measures: the engine fast
 // path and the sequential oracle — the two throughputs every other
@@ -59,7 +160,8 @@ func (o Options) gateMeasure(n uint64) map[string]func() error {
 // threshold — three times the row's recorded rep spread, floored at
 // benchGateFloorTolerance. A drop inside that band is declared noise
 // by construction, never a failure; the committed numbers themselves
-// are only moved deliberately, via rdexper -bench-out.
+// are only moved deliberately, by deleting the record and letting the
+// next gate run re-seed it.
 //
 // A missing, empty or row-less trajectory file is the first run, not a
 // failure: the gate measures the rows once and commits them to path as
@@ -98,7 +200,7 @@ func (o Options) RunBenchGate(path string) error {
 		if committed == nil || committed.AccessesSec <= 0 {
 			return fmt.Errorf("%s holds no %q row to gate against", path, name)
 		}
-		row, err := timeRun(name, n, o.reps(), measure[name])
+		row, err := timeRun(name, n, o.Reps, measure[name])
 		if err != nil {
 			return err
 		}
@@ -126,7 +228,7 @@ func (o Options) seedBenchGate(path string) error {
 	}
 	measure := o.gateMeasure(n)
 	for _, name := range benchGateRows {
-		row, err := timeRun(name, n, o.reps(), measure[name])
+		row, err := timeRun(name, n, o.Reps, measure[name])
 		if err != nil {
 			return err
 		}

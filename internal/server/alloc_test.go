@@ -51,7 +51,7 @@ func TestE2EQueueDepthOneBitIdentical(t *testing.T) {
 }
 
 // TestSteadyStateAllocs16Sessions pins the per-session allocation creep
-// fixed in this change: BENCH_server.json showed allocs/batch growing
+// the loopback server benchmark once showed: allocs/batch growing
 // 1.8 → 3.0 → 10.3 at 1/4/16 sessions because per-connection state
 // (bufio readers and writers, decode scratch, column scratch) was
 // allocated fresh per session and amortized over fewer batches. With
@@ -165,9 +165,9 @@ func TestSteadyStateAllocs16Sessions(t *testing.T) {
 	}
 }
 
-// TestAllocCreepRatio16v1 gates the BENCH_server.json allocation-creep
-// ratio: allocs/batch at 16 sessions divided by allocs/batch at 1
-// session, with total work held constant (the bench's shape). The
+// TestAllocCreepRatio16v1 gates the allocation-creep ratio:
+// allocs/batch at 16 sessions divided by allocs/batch at 1 session,
+// with total work held constant across session counts. The
 // per-batch cost decomposes as
 //
 //	allocs/batch = steady + fixed*sessions/totalBatches

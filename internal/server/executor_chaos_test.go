@@ -75,15 +75,24 @@ func TestExecutorChaosGOMAXPROCS4(t *testing.T) {
 		stats wire.ReconnectStats
 	}
 	outcomes := make([]outcome, sessions)
-	var wg sync.WaitGroup
+	var wg, opened sync.WaitGroup
 	for i := range traces {
 		wg.Add(1)
+		opened.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			policy := testPolicy(uint64(100 + i))
 			policy.Dial = faults.DialContext
 			rc := wire.NewReconnectingClient(src.Addr(), cfg, policy)
 			defer rc.Close()
+			// A draining source admits no new session, so every session
+			// must be open on it before the drain starts.
+			_, err := rc.Open(context.Background())
+			opened.Done()
+			if err != nil {
+				outcomes[i] = outcome{nil, err, rc.Stats()}
+				return
+			}
 			res, err := rc.Profile(context.Background(), trace.FromSlice(traces[i]),
 				wire.ProfileOptions{BatchSize: batchSize})
 			outcomes[i] = outcome{res, err, rc.Stats()}
@@ -92,6 +101,7 @@ func TestExecutorChaosGOMAXPROCS4(t *testing.T) {
 
 	// Let the executor build up real cross-worker load, then pull the
 	// rug: drain the source so every live session migrates.
+	opened.Wait()
 	waitFor(t, "progress on source", 20*time.Second, func() bool {
 		return src.MetricsSnapshot().AccessesTotal > uint64(sessions*accesses/10)
 	})

@@ -122,7 +122,9 @@ type Metrics struct {
 	BatchesTotal   uint64  `json:"batches_total"`
 	DroppedBatches uint64  `json:"dropped_batches"`
 	SnapshotsTotal uint64  `json:"snapshots_total"`
-	BytesIn        uint64  `json:"bytes_in"`
+	// BytesIn is the cumulative bytes of every frame received, headers
+	// included.
+	BytesIn uint64 `json:"bytes_in"`
 	// BatchBytes is the cumulative batch-frame payload bytes received;
 	// BytesPerAccess = BatchBytes/AccessesTotal is
 	// the measured wire cost of one access, and CompressionRatio relates

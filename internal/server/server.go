@@ -574,7 +574,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err != nil {
 		return // client vanished before speaking
 	}
-	s.metrics.bytesIn.Add(uint64(5 + len(payload)))
+	s.metrics.bytesIn.Add(uint64(wire.FrameHeaderLen + len(payload)))
 	if t == wire.FrameHandoff {
 		// A peer backend is migrating a session here; handleHandoff owns
 		// the payload buffer.
@@ -871,12 +871,12 @@ func (s *Server) readLoop(sess *session, br *bufio.Reader) {
 		t, payload, err := wire.ReadFramePooled(br)
 		if err != nil {
 			// io.EOF without Finish, a mid-frame cut, or a frame that
-			// failed its checksum: the stream is unusable. Nothing to
+			// failed a checksum: the stream is unusable. Nothing to
 			// reply to; the client reconnects and resumes.
 			sess.dead.Store(true)
 			return
 		}
-		s.metrics.bytesIn.Add(uint64(5 + len(payload)))
+		s.metrics.bytesIn.Add(uint64(wire.FrameHeaderLen + len(payload)))
 		switch t {
 		case wire.FrameBatchV3:
 			var cols *trace.Columns

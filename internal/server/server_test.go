@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -488,10 +489,40 @@ func TestOpenRejections(t *testing.T) {
 	t.Run("wire field", func(t *testing.T) {
 		// The open request no longer carries a version offer; the strict
 		// decoder refuses the field rather than ignore it.
-		req := append(bytes.TrimSuffix(openReq, []byte("}")), []byte(`,"wire":3}`)...)
+		req := append(bytes.TrimSuffix(bytes.Clone(openReq), []byte("}")), []byte(`,"wire":3}`)...)
 		conn, ft, msg := rawOpen(t, req)
 		if ft != wire.FrameError || !strings.Contains(string(msg), "unknown field") {
 			t.Errorf("open with a wire field answered with %s %q, want an unknown-field error", ft, msg)
+		}
+		conn.Close()
+		waitIdle(t)
+	})
+
+	t.Run("corrupt frame length", func(t *testing.T) {
+		// A bit flip that enlarges an empty sync frame's length to 1029
+		// must end the session at once. If the server took the length on
+		// trust it would wait for 1024 payload bytes the client never
+		// sends, while the client waits for the sync's ack.
+		conn, ft, msg := rawOpen(t, openReq)
+		if ft != wire.FrameOpenOK {
+			t.Fatalf("open answered with %s %q", ft, msg)
+		}
+		var frame bytes.Buffer
+		if err := wire.WriteFrame(&frame, wire.FrameSync, nil); err != nil {
+			t.Fatal(err)
+		}
+		bad := frame.Bytes()
+		bad[2] ^= 0x04 // length += 1024
+		if _, err := conn.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ft, _, err := wire.ReadFrame(conn)
+		if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("server still reading the corrupt frame after 5s: %v", err)
+		}
+		if err == nil {
+			t.Errorf("corrupt sync frame answered with %s, want the connection closed", ft)
 		}
 		conn.Close()
 		waitIdle(t)

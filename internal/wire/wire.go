@@ -8,17 +8,21 @@
 //
 // Every frame is
 //
-//	length [4]byte  big-endian; covers type + checksum + payload
+//	length [4]byte  big-endian; covers type + checksums + payload
 //	type   byte     FrameType
 //	crc    [4]byte  big-endian IEEE crc32 over type + payload
-//	payload         length-5 bytes
+//	hcrc   [4]byte  big-endian IEEE crc32 over length + type + crc
+//	payload         length-9 bytes
 //
-// The checksum makes in-flight corruption a detectable transport error
+// The checksums make in-flight corruption a detectable transport error
 // everywhere at once — batch sequence numbers, acks, JSON results and
 // the open handshake — instead of silently altering profile data. A
-// frame that fails its checksum is indistinguishable from a cut
+// frame that fails a checksum is indistinguishable from a cut
 // connection: the client reconnects and resumes, the server checkpoints
-// the session as disconnected.
+// the session as disconnected. The header checksum is verified before
+// the payload is read: a flipped length bit would otherwise leave the
+// reader waiting for payload bytes the peer never sends, while the peer
+// waits for a reply.
 //
 // Frames never interleave within one direction of a connection. The
 // client speaks first (FrameOpen); the server replies to each
@@ -185,8 +189,14 @@ func (t FrameType) String() string {
 // batch frames are a few hundred KiB.
 const MaxFramePayload = 64 << 20
 
-// frameOverhead is the frame body's fixed prefix: type byte + crc32.
-const frameOverhead = 5
+// frameOverhead is the frame body's fixed prefix: type byte + payload
+// crc32 + header crc32.
+const frameOverhead = 9
+
+// FrameHeaderLen is the whole frame header: length prefix +
+// frameOverhead. A frame occupies FrameHeaderLen + len(payload) bytes on
+// the wire.
+const FrameHeaderLen = 4 + frameOverhead
 
 // frameCRC computes the checksum carried in a frame: IEEE crc32 over
 // the type byte followed by the payload.
@@ -213,12 +223,13 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFramePayload {
 		return fmt.Errorf("wire: %s frame payload %d bytes exceeds limit %d", t, len(payload), MaxFramePayload)
 	}
-	hp := hdrPool.Get().(*[9]byte)
+	hp := hdrPool.Get().(*[FrameHeaderLen]byte)
 	defer hdrPool.Put(hp)
 	hdr := hp[:]
 	binary.BigEndian.PutUint32(hdr[:4], uint32(frameOverhead+len(payload)))
 	hdr[4] = byte(t)
-	binary.BigEndian.PutUint32(hdr[5:], frameCRC(t, payload))
+	binary.BigEndian.PutUint32(hdr[5:9], frameCRC(t, payload))
+	binary.BigEndian.PutUint32(hdr[9:], crc32.ChecksumIEEE(hdr[:9]))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -236,10 +247,11 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 // allocate MaxFramePayload up front.
 const readChunk = 1 << 20
 
-// ReadFrame reads one frame from r, verifying its checksum. io.EOF is
+// ReadFrame reads one frame from r, verifying its checksums. io.EOF is
 // returned untouched when the stream ends cleanly between frames; a
 // stream cut inside a frame, an impossible length, or a checksum
-// mismatch (in-flight corruption) returns a descriptive error. The
+// mismatch (in-flight corruption) returns a descriptive error. A
+// corrupt header fails before any payload byte is read. The
 // payload is freshly allocated; hot paths that can release it promptly
 // should prefer ReadFramePooled.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
@@ -254,14 +266,14 @@ func ReadFramePooled(r io.Reader) (FrameType, []byte, error) {
 	return readFrame(r, true)
 }
 
-// hdrPool recycles frame-prefix scratch buffers. A local [9]byte array
-// in readFrame escapes through the io.ReadFull interface call and costs
+// hdrPool recycles frame-header scratch buffers. A local array in
+// readFrame escapes through the io.ReadFull interface call and costs
 // one heap allocation per frame; pool Get/Put on an array pointer is
 // allocation-free in both directions.
-var hdrPool = sync.Pool{New: func() any { return new([9]byte) }}
+var hdrPool = sync.Pool{New: func() any { return new([FrameHeaderLen]byte) }}
 
 func readFrame(r io.Reader, pooled bool) (FrameType, []byte, error) {
-	hp := hdrPool.Get().(*[9]byte)
+	hp := hdrPool.Get().(*[FrameHeaderLen]byte)
 	defer hdrPool.Put(hp)
 	hdr := hp[:]
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
@@ -283,8 +295,11 @@ func readFrame(r io.Reader, pooled bool) (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return 0, nil, fmt.Errorf("wire: stream cut inside frame prefix: %w", err)
 	}
+	if crc32.ChecksumIEEE(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:]) {
+		return 0, nil, fmt.Errorf("wire: frame header checksum mismatch (corrupt stream)")
+	}
 	t := FrameType(hdr[4])
-	want := binary.BigEndian.Uint32(hdr[5:])
+	want := binary.BigEndian.Uint32(hdr[5:9])
 
 	size := int(n) - frameOverhead
 	var payload []byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -87,6 +88,55 @@ func TestFrameDetectsCorruption(t *testing.T) {
 				t.Fatalf("byte %d flipped by %#x decoded unchanged", i, flip)
 			}
 			t.Fatalf("byte %d flipped by %#x decoded without error as %s frame", i, flip, ft)
+		}
+	}
+}
+
+// errPeerSilent is what silentPeer returns once the sent bytes are used
+// up: the point where a reader on a live connection would block.
+var errPeerSilent = errors.New("read past the bytes the peer sent")
+
+// silentPeer serves the bytes a peer sent and then, instead of
+// blocking like a live connection whose peer awaits a reply, fails
+// every further read with errPeerSilent.
+type silentPeer struct{ r *bytes.Reader }
+
+func (p silentPeer) Read(b []byte) (int, error) {
+	if n, _ := p.r.Read(b); n > 0 {
+		return n, nil
+	}
+	return 0, errPeerSilent
+}
+
+// TestFrameCorruptionFailsWithoutStalling: a frame that took a single
+// bit flip in flight must be rejected from the bytes the peer sent.
+// Reading further would block on a live connection: a flipped length
+// bit that enlarges an empty sync frame from 5 to 1029 bytes made the
+// server wait for 1024 payload bytes while the client waited for the
+// sync's ack, stalling the session for the client's whole op timeout.
+func TestFrameCorruptionFailsWithoutStalling(t *testing.T) {
+	for _, f := range []struct {
+		t       FrameType
+		payload []byte
+	}{
+		{FrameSync, nil},
+		{FrameBatchV3, []byte("reuse-distance payload 0123456789")},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, f.t, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		full := buf.Bytes()
+		for bit := 0; bit < 8*len(full); bit++ {
+			bad := append([]byte(nil), full...)
+			bad[bit/8] ^= 1 << (bit % 8)
+			_, _, err := ReadFrame(silentPeer{bytes.NewReader(bad)})
+			switch {
+			case err == nil:
+				t.Errorf("%s frame, bit %d flipped: decoded without error", f.t, bit)
+			case errors.Is(err, errPeerSilent):
+				t.Errorf("%s frame, bit %d flipped: reader waits for bytes never sent (%v)", f.t, bit, err)
+			}
 		}
 	}
 }

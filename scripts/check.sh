@@ -83,12 +83,12 @@ go test -run='^$' -fuzz='^FuzzReader$' -fuzztime=10s ./internal/trace
 go test -run='^$' -fuzz='^FuzzDecodeColumns$' -fuzztime=10s ./internal/wire
 
 # Wire-compression regression gate: the strided workload's columnar
-# compression ratio is re-measured and held against the baseline
-# committed in BENCH_server.json. The columnar encoding is
-# deterministic, so any drop beyond the 5% batch-boundary tolerance is
-# a real encoder regression.
-echo "==> wire compression gate (strided v3 vs BENCH_server.json)"
-go run ./cmd/rdexper -n 1048576 -compress-check BENCH_server.json
+# compression ratio is re-measured through a fresh server and held
+# against the ratio committed in the test (17.91x, 5% tolerance). The
+# columnar encoding is deterministic, so any drop past the bound is a
+# real encoder regression.
+echo "==> wire compression gate (strided v3, TestStridedCompressionRatio)"
+go test -run='^TestStridedCompressionRatio$' -count=1 -v ./internal/server
 
 # MRC differential gate: the analytical miss-ratio curve and hierarchy
 # models are re-validated against real cache simulation on the two
@@ -134,8 +134,8 @@ go run ./cmd/rdexper -bench-gate BENCH_engine.json
 # Bench smoke: one iteration of the committed benchmark set, without
 # -race (allocation counts and throughput are meaningless under it).
 # Catches a benchmark that no longer compiles or crashes outright; the
-# numbers themselves are tracked by BENCH_*.json via rdexper -bench-out.
+# numbers themselves are measured by rdxbench (bash rdxbench/run.sh).
 echo "==> bench smoke (1 iteration)"
-go test -run='^$' -bench='^(BenchmarkMachineRun|BenchmarkServerThroughput)$' -benchtime=1x .
+go test -run='^$' -bench='^(BenchmarkMachineRun|BenchmarkServerThroughput|BenchmarkPoolThroughput)$' -benchtime=1x .
 
 echo "check: OK"
